@@ -29,7 +29,7 @@ class HelloWorld(Configurator):
         self.add_item("HelloMessage")
 
     def fragment_payload(self, linker) -> str:
-        message = self.resolve_value("HelloMessage", linker)
+        message = self.resolve_value("HelloMessage")
         return f"echo {shell_quote(message)}"
 
 
@@ -50,17 +50,17 @@ class Step(Configurator):
             self.add_item(key)
 
     def fragment_payload(self, linker) -> str:
-        executable = self.resolve_value("Executable", linker)
+        executable = self.resolve_value("Executable")
         if not executable:
             raise RunjobError(f"{self.identifier}: Executable is not set")
         parts = [shell_quote(executable)]
-        args = self.resolve_value("Args", linker)
+        args = self.resolve_value("Args")
         if args:
             parts.append(args)
-        infile = self.resolve_value("InputFile", linker)
+        infile = self.resolve_value("InputFile")
         if infile:
             parts.append(f"< {shell_quote(infile)}")
-        outfile = self.resolve_value("OutputFile", linker)
+        outfile = self.resolve_value("OutputFile")
         if outfile:
             parts.append(f"> {shell_quote(outfile)}")
         return " ".join(parts)
@@ -148,7 +148,7 @@ class Fork(Configurator):
         """Spawn every path in ExecutableList according to ``mode``."""
         if mode not in RUN_MODES:
             raise RunjobError(f"unknown run mode {mode!r}")
-        paths = self.resolve_value("ExecutableList", linker).split()
+        paths = self.resolve_value("ExecutableList").split()
         report = RunReport(mode)
         failures = []
         for index, path in enumerate(paths):

@@ -9,30 +9,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .builtins import Fork, make_linker
+from .builtins import RUN_MODES, make_linker
 from .errors import RunjobError
 from .linker import Linker
 from .macro_lang import MacroInterpreter, check_script, execute_file, tokenize
-from .scriptgen import build_dag
+from .scriptgen import ScriptObject, build_dag
 
 DEFAULT_FRAMEWORK = ("Reset", "MakeJob", "MakeScript", "RunJob")
 LENIENT_ENV_VAR = "RUNJOB_LENIENT_DEPS"
-
-
-@dataclass
-class CliConfig:
-    script_path: Path | None  # None means REPL
-    output_dir: Path = Path(".")
-    target: str = "shell"
-    strict_deps: bool = True
-    dump_path: Path | None = None
-    resolve_dump: bool = False
-    check_only: bool = False
-    run_mode: str = "foreground"
-    framework: tuple[str, ...] = DEFAULT_FRAMEWORK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default=" ".join(DEFAULT_FRAMEWORK),
                      help="framework messages to run after the script "
                           "(default: %(default)s)")
-    run.add_argument("--no-framework", action="store_true",
+    run.add_argument("--no-framework", dest="framework", action="store_const", const="",
                      help="do not run any framework messages after the script")
 
     repl_parser = sub.add_parser("repl", help="interactive directive session")
@@ -68,29 +54,12 @@ def _common_flags(parser) -> None:
                         help="output directory for materialized artifacts")
     parser.add_argument("--target", choices=("shell", "dag"), default="shell")
     parser.add_argument("--lenient-deps", action="store_true",
+                        default=os.environ.get(LENIENT_ENV_VAR) == "1",
                         help="disable dependency checking and namespace visibility "
                              f"rules (also via {LENIENT_ENV_VAR}=1)")
-    parser.add_argument("--run-mode", choices=("foreground", "background", "dry-run"),
-                        default="foreground")
-    parser.add_argument("--background", action="store_true",
-                        help="shorthand for --run-mode background")
-
-
-def _config_from_args(args) -> CliConfig:
-    lenient = args.lenient_deps or os.environ.get(LENIENT_ENV_VAR) == "1"
-    run_mode = "background" if args.background else args.run_mode
-    return CliConfig(
-        script_path=Path(args.script) if getattr(args, "script", None) else None,
-        output_dir=Path(args.out),
-        target=args.target,
-        strict_deps=not lenient,
-        dump_path=Path(args.dump) if getattr(args, "dump", None) else None,
-        resolve_dump=getattr(args, "resolve", False),
-        check_only=getattr(args, "check", False),
-        run_mode=run_mode,
-        framework=() if getattr(args, "no_framework", False)
-        else tuple(getattr(args, "framework", " ".join(DEFAULT_FRAMEWORK)).split()),
-    )
+    parser.add_argument("--run-mode", choices=RUN_MODES, default="foreground")
+    parser.add_argument("--background", dest="run_mode", action="store_const",
+                        const="background", help="shorthand for --run-mode background")
 
 
 def main(argv=None) -> int:
@@ -99,12 +68,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    config = _config_from_args(args)
     try:
         if args.command == "repl":
-            repl(_new_linker(config))
+            repl(_new_linker(args))
             return 0
-        return run_script(config)
+        return run_script(args)
     except RunjobError as exc:
         context = getattr(exc, "dispatch_context", None)
         if context:
@@ -119,29 +87,29 @@ def main(argv=None) -> int:
         return 1
 
 
-def _new_linker(config: CliConfig) -> Linker:
-    return make_linker(strict=config.strict_deps, output_dir=config.output_dir,
-                       run_mode=config.run_mode)
+def _new_linker(args) -> Linker:
+    return make_linker(strict=not args.lenient_deps, output_dir=Path(args.out),
+                       run_mode=args.run_mode)
 
 
-def run_script(config: CliConfig) -> int:
-    if config.check_only:
-        check_script(config.script_path)
+def run_script(args) -> int:
+    """Run (or with ``--check`` only check) the script named by parsed ``run`` arguments."""
+    if args.check:
+        check_script(args.script)
         return 0
-    linker = _new_linker(config)
-    execute_file(linker, config.script_path)
-    if config.framework:
-        linker.run_framework(*config.framework)
-    for path in materialize_outputs(linker, config.target):
+    linker = _new_linker(args)
+    execute_file(linker, args.script)
+    messages = args.framework.split()
+    if messages:
+        linker.run_framework(*messages)
+    for path in materialize_outputs(linker, args.target):
         print(f"wrote {path}")
-    _print_run_reports(linker)
-    if config.dump_path is not None:
-        dump = linker.dump_state(resolve=config.resolve_dump)
-        if str(config.dump_path) == "-":
-            sys.stdout.write(dump)
-        else:
-            config.dump_path.write_text(dump)
-            print(f"wrote {config.dump_path}")
+    print_run_reports(linker, sys.stdout)
+    if args.dump == "-":
+        sys.stdout.write(linker.dump_state(resolve=args.resolve))
+    elif args.dump is not None:
+        Path(args.dump).write_text(linker.dump_state(resolve=args.resolve))
+        print(f"wrote {args.dump}")
     return 0
 
 
@@ -153,33 +121,30 @@ def materialize_outputs(linker: Linker, target: str) -> list[Path]:
         for fragment in fragments:
             paths.append(linker.materialize(fragment))
         dags = linker.collect_script_objects(target="dag", kind="composite")
-        if dags:
-            paths.append(linker.materialize(dags[-1]))
-        else:
-            dag_path = linker.output_dir / "workflow.dag"
-            linker.output_dir.mkdir(parents=True, exist_ok=True)
-            with open(dag_path, "w", newline="\n") as handle:
-                handle.write(build_dag(linker, fragments))
-            paths.append(dag_path)
+        if not dags:  # no DagGen attached: wrap every shell fragment
+            dags = [ScriptObject("workflow", "dag", build_dag(linker, fragments), None, 0)]
+        paths.append(linker.materialize(dags[-1]))
     else:
         for composite in linker.collect_script_objects(target="shell", kind="composite"):
             paths.append(linker.materialize(composite))
     return paths
 
 
-def _print_run_reports(linker: Linker) -> None:
+def print_run_reports(linker: Linker, out) -> None:
+    """Write, then clear, the report of every Fork's last RunJob."""
     for cfg in linker.configurators:
         report = getattr(cfg, "last_run_report", None)
         if report is None:
             continue
         if report.mode == "dry-run":
             for result in report.results:
-                print(f"dry-run: {result.command}")
+                out.write(f"dry-run: {result.command}\n")
         elif report.mode == "background":
             for result in report.results:
-                print(f"started {result.command} (pid {result.pid})")
-        elif report.stdout:
-            sys.stdout.write(report.stdout)
+                out.write(f"started {result.command} (pid {result.pid})\n")
+        else:
+            out.write(report.stdout)
+        cfg.last_run_report = None
 
 
 REPL_HELP = """\
@@ -239,19 +204,11 @@ def repl(linker: Linker, input_stream=None, output=None) -> None:
             for record in linker.dispatch_log[records_before:]:
                 out.write(f"{record.message} {record.description.identifier}: "
                           f"{record.outcome}\n")
-            _write_new_reports(linker, out)
+            print_run_reports(linker, out)
         except (RunjobError, OSError) as exc:
             out.write(f"error: {exc}\n")
         prompt("runjob> ")
     prompt("\n")
-
-
-def _write_new_reports(linker: Linker, out) -> None:
-    for cfg in linker.configurators:
-        if isinstance(cfg, Fork) and cfg.last_run_report is not None:
-            if cfg.last_run_report.stdout:
-                out.write(cfg.last_run_report.stdout)
-            cfg.last_run_report = None
 
 
 if __name__ == "__main__":  # pragma: no cover

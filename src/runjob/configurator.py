@@ -3,37 +3,65 @@
 A configurator owns a TriggerStore of key/value metadata, a synonym table,
 declared dependencies on other configurators, framework-message handlers,
 and a chain of macro handlers ending in the base parser (additem, define,
-addreq, synonym, oncall).  Attached to a linker it becomes a namespace;
-values defined as references resolve lazily through the linker on every
-read.
+addreq, synonym, oncall).  Attached to a linker it becomes a namespace and
+is bound to that linker; values defined as references resolve lazily
+through it on every read.
+
+This module also owns the configurator identifier grammar, "Type" or
+"Type named Name" with ``named`` reserved in identifier position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from .errors import (
-    InvalidKey,
     KeyNotFound,
     MacroParseError,
     NoConstructRegistered,
     RunjobError,
     UnknownMacro,
-    UnsatisfiedDependency,
 )
-from .trigger_store import TriggerStore, indexed_read
+from .trigger_store import TriggerStore, check_token, indexed_read
 
 
-def _check_token(token, what: str = "token") -> str:
-    if not isinstance(token, str) or not token or token.split() != [token]:
-        raise InvalidKey(f"invalid {what}: {token!r}")
-    return token
+def split_identifier(tokens: Sequence[str]) -> tuple[str, str | None, Sequence[str]]:
+    """Parse the "Type" or "Type named Name" identifier that leads ``tokens``;
+    also return the tokens after it."""
+    if len(tokens) > 1 and tokens[1] == "named":
+        if len(tokens) < 3:
+            raise _malformed_identifier(tokens)
+        return tokens[0], tokens[2], tokens[3:]
+    if not tokens:
+        raise _malformed_identifier(tokens)
+    return tokens[0], None, tokens[1:]
+
+
+def parse_identifier(tokens: Sequence[str]) -> tuple[str, str | None]:
+    """Parse "Type" or "Type named Name" token forms."""
+    type_name, instance, rest = split_identifier(tokens)
+    if rest:
+        raise _malformed_identifier(tokens)
+    return type_name, instance
+
+
+def _malformed_identifier(tokens: Sequence[str]) -> MacroParseError:
+    return MacroParseError(
+        "malformed configurator identifier: " + (" ".join(tokens) or "<empty>"))
+
+
+def format_identifier(type_name: str, instance_name: str | None) -> str:
+    """Render the "Type" or "Type named Name" form."""
+    if instance_name is None:
+        return type_name
+    return f"{type_name} named {instance_name}"
 
 
 @dataclass(frozen=True)
 class ConfiguratorDescription:
-    """Identity of a configurator: type, instance name, version.
+    """Identity of a configurator: type and instance name.
 
     The instance name defaults to the type name; the rendered identifier is
     then just the type ("HelloWorldScriptGen") instead of the full
@@ -42,20 +70,19 @@ class ConfiguratorDescription:
 
     type_name: str
     instance_name: str | None = None
-    version: str = "1"
 
     def __post_init__(self):
-        _check_token(self.type_name, "type name")
+        check_token(self.type_name, "type name")
         if self.instance_name is None:
             object.__setattr__(self, "instance_name", self.type_name)
         else:
-            _check_token(self.instance_name, "instance name")
+            check_token(self.instance_name, "instance name")
 
     @property
     def identifier(self) -> str:
         if self.instance_name == self.type_name:
             return self.type_name
-        return f"{self.type_name} named {self.instance_name}"
+        return format_identifier(self.type_name, self.instance_name)
 
     @property
     def slug(self) -> str:
@@ -65,41 +92,26 @@ class ConfiguratorDescription:
         return f"{self.type_name}_{self.instance_name}"
 
 
-def parse_identifier(tokens: Sequence[str]) -> tuple[str, str | None]:
-    """Parse "Type" or "Type named Name" token forms."""
-    if len(tokens) == 1:
-        return tokens[0], None
-    if len(tokens) == 3 and tokens[1] == "named":
-        return tokens[0], tokens[2]
-    raise MacroParseError(
-        "malformed configurator identifier: " + (" ".join(tokens) or "<empty>"))
-
-
 @dataclass(frozen=True)
 class DependencyPattern:
     """Requirement pattern matched against attached configurator descriptions.
 
-    ``instance_name``/``version`` of None match anything, so "addreq Step"
-    is satisfied by every attached Step instance.
+    An ``instance_name`` of None matches any instance, so "addreq Step" is
+    satisfied by every attached Step instance.
     """
 
     type_name: str
     instance_name: str | None = None
-    version: str | None = None
 
     def matches(self, description: ConfiguratorDescription) -> bool:
         if self.type_name != description.type_name:
             return False
         if self.instance_name is not None and self.instance_name != description.instance_name:
             return False
-        if self.version is not None and self.version != description.version:
-            return False
         return True
 
     def render(self) -> str:
-        if self.instance_name is None:
-            return self.type_name
-        return f"{self.type_name} named {self.instance_name}"
+        return format_identifier(self.type_name, self.instance_name)
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> "DependencyPattern":
@@ -229,10 +241,6 @@ class Configurator:
     def identifier(self) -> str:
         return self.description.identifier
 
-    @property
-    def linker(self):
-        return self._linker
-
     def bind(self, linker) -> None:
         """Called by the linker on attach."""
         self._linker = linker
@@ -250,78 +258,59 @@ class Configurator:
         """
         self._macro_handlers.insert(len(self._macro_handlers) - 1, handler)
 
-    def apply_macro(self, macro, linker=None) -> None:
+    def apply_macro(self, macro) -> None:
         """Route one macro command through the handler chain."""
-        if linker is not None:
-            self._linker = self._linker or linker
-        tokens = macro.split() if isinstance(macro, str) else list(macro)
-        if not tokens:
-            raise MacroParseError("empty macro")
+        tokens = _macro_tokens(macro)
         for handler in list(self._macro_handlers):
             if handler(tokens):
                 return
         raise UnknownMacro(f"{self.identifier}: unknown macro {tokens[0]!r}")
 
     def _base_macro_handler(self, tokens: list[str]) -> bool:
+        action = self._parse_base_macro(tokens)
+        if action is None:
+            return False
+        action()
+        return True
+
+    def _parse_base_macro(self, tokens: list[str]) -> Callable[[], object] | None:
+        """Shape-check a base-parser macro and return the call that applies it.
+
+        Returns None for verbs the base parser does not own; their handler
+        validates them when the command runs.
+        """
         verb = tokens[0]
         if verb == "additem":
             if len(tokens) != 2:
                 raise MacroParseError("usage: additem <key>")
-            self.add_item(tokens[1])
-        elif verb == "define":
+            return partial(self.add_item, tokens[1])
+        if verb == "define":
             if len(tokens) < 3:
                 raise MacroParseError("usage: define <key> <expression>")
-            self.define(tokens[1], parse_expression(tokens[2:]))
-        elif verb == "addreq":
+            return partial(self.define, tokens[1], parse_expression(tokens[2:]))
+        if verb == "addreq":
             if len(tokens) < 2:
                 raise MacroParseError("usage: addreq <cfg-identifier>")
-            self.add_requirement(DependencyPattern.from_tokens(tokens[1:]))
-        elif verb == "synonym":
+            return partial(self.add_requirement, DependencyPattern.from_tokens(tokens[1:]))
+        if verb == "synonym":
             if len(tokens) != 3:
                 raise MacroParseError("usage: synonym <key> ::<cfg-identifier>:<key>")
             target = parse_expression(tokens[2:])
             if target.kind != "reference":
                 raise MacroParseError(f"synonym target must be a reference, got {tokens[2]!r}")
-            self.set_synonym(tokens[1], target.ref)
-        elif verb == "oncall":
+            return partial(self.set_synonym, tokens[1], target.ref)
+        if verb == "oncall":
             if len(tokens) < 4 or tokens[2] != "do":
                 raise MacroParseError("usage: oncall <message> do <macro>")
-            self.store_oncall(tokens[1], tokens[3:])
-        else:
-            return False
-        return True
-
-    def _check_macro_syntax(self, tokens: list[str]) -> None:
-        """Arity/shape check for base verbs without executing anything.
-
-        Non-base verbs are accepted here and validated by their handler when
-        the command eventually runs.
-        """
-        if not tokens:
-            raise MacroParseError("empty macro")
-        verb = tokens[0]
-        if verb == "additem" and len(tokens) != 2:
-            raise MacroParseError("usage: additem <key>")
-        elif verb == "define":
-            if len(tokens) < 3:
-                raise MacroParseError("usage: define <key> <expression>")
-            parse_expression(tokens[2:])
-        elif verb == "addreq":
-            if len(tokens) < 2:
-                raise MacroParseError("usage: addreq <cfg-identifier>")
-            DependencyPattern.from_tokens(tokens[1:])
-        elif verb == "synonym" and len(tokens) != 3:
-            raise MacroParseError("usage: synonym <key> ::<cfg-identifier>:<key>")
-        elif verb == "oncall":
-            if len(tokens) < 4 or tokens[2] != "do":
-                raise MacroParseError("usage: oncall <message> do <macro>")
-            self._check_macro_syntax(tokens[3:])
+            self._parse_base_macro(tokens[3:])  # a stored oncall is checked in full
+            return partial(self.store_oncall, tokens[1], tokens[3:])
+        return None
 
     # base metadata operations
 
     def add_item(self, key: str) -> None:
         """Declare a metadata key; existing values survive re-declaration."""
-        _check_token(key, "key")
+        check_token(key)
         if key not in self.store:
             self.store.untriggered_write(key, "")
 
@@ -332,7 +321,7 @@ class Configurator:
         read triggers: every read re-resolves through the linker, so changes
         upstream (or a fresh construct result) are always visible.
         """
-        _check_token(key, "key")
+        check_token(key)
         if isinstance(expression, str):
             expression = ValueExpression.literal(expression)
         old = self._definitions.pop(key, None)
@@ -392,48 +381,42 @@ class Configurator:
                     return self.requirements[index]
                 return existing
         if self._linker is not None and self._linker.strict:
-            if not any(pattern.matches(cfg.description) for cfg in self._linker.configurators):
-                raise UnsatisfiedDependency(
-                    f"{self.identifier}: requirement {pattern.render()!r} matches "
-                    "no attached configurator")
+            self._linker.require_attached(self, pattern)
         requirement = Requirement(pattern, auto)
         self.requirements.append(requirement)
         return requirement
 
     def set_synonym(self, key: str, target: tuple[str, str]) -> None:
-        _check_token(key, "key")
+        check_token(key)
         identifier, remote_key = target
-        self.synonyms[key] = (_check_token(identifier, "identifier"),
-                              _check_token(remote_key, "key"))
+        self.synonyms[key] = (check_token(identifier, "identifier"),
+                              check_token(remote_key))
 
     def store_oncall(self, message: str, command) -> None:
         """Store a macro to run whenever ``message`` is dispatched to us."""
-        _check_token(message, "message")
-        tokens = command.split() if isinstance(command, str) else list(command)
-        self._check_macro_syntax(tokens)
+        check_token(message, "message")
+        tokens = _macro_tokens(command)
+        self._parse_base_macro(tokens)
         self._stored_commands.setdefault(message, []).append(" ".join(tokens))
 
     def register_construct(self, key: str, fn: Callable) -> None:
         """Attach a construct function (developer API, not reachable from macros)."""
-        self._constructors[_check_token(key, "key")] = fn
+        self._constructors[check_token(key)] = fn
 
     def register_framework_handler(self, message: str, fn: Callable) -> None:
-        self._framework_handlers[_check_token(message, "message")] = fn
+        self._framework_handlers[check_token(message, "message")] = fn
 
     # framework dispatch
 
-    def handle_framework(self, message: str, linker=None) -> Outcome:
+    def handle_framework(self, message: str) -> Outcome:
         """Dispatch one framework message: stored commands first, then either
         the registered delegation, the registered handler, or nothing."""
-        if linker is not None:
-            self._linker = self._linker or linker
         stored = list(self._stored_commands.get(message, ()))
         for command in stored:
             self.apply_macro(command)
         if message in self.delegations:
             target = self.delegations[message]
-            scriptgen = self._linker.find_by_description(target)
-            scriptgen.handle_delegated(message, self)
+            self._linker.find_by_description(target).delegated_make_job(self)
             return delegated(target)
         if message in self._framework_handlers:
             self._framework_handlers[message](self._linker)
@@ -451,12 +434,11 @@ class Configurator:
 
     # resolution
 
-    def resolve_value(self, key: str, linker=None) -> str:
+    def resolve_value(self, key: str) -> str:
         """Triggered read of ``key`` with cycle detection across namespaces."""
-        linker = linker if linker is not None else self._linker
-        if linker is None:
+        if self._linker is None:
             return self.store.read(key)
-        with linker.resolution_guard(self.description, key):
+        with self._linker.resolution_guard(self.description, key):
             return self.store.read(key)
 
     def fragment_payload(self, linker) -> str:
@@ -465,27 +447,19 @@ class Configurator:
 
     # state dump support
 
-    @property
-    def definitions(self) -> dict[str, ValueExpression]:
-        return {key: d.expression for key, d in self._definitions.items()}
-
-    @property
-    def stored_commands(self) -> dict[str, list[str]]:
-        return {msg: list(cmds) for msg, cmds in self._stored_commands.items()}
-
-    def dump_commands(self, resolve: bool = False, linker=None) -> list[str]:
+    def dump_commands(self, resolve: bool = False) -> list[str]:
         """Own state as base-parser macros, in a re-sourceable order."""
         lines = []
         for key in self.store:
-            expression = self.definitions.get(key)
-            if resolve and expression is not None and expression.kind != "literal":
-                value = self.resolve_value(key, linker)
-                lines.append(f"define {key} {value}" if value else f"additem {key}")
-            elif expression is not None and expression.kind != "literal":
-                lines.append(f"define {key} {expression.text}")
+            definition = self._definitions.get(key)
+            if definition is not None and definition.expression.kind != "literal":
+                if not resolve:
+                    lines.append(f"define {key} {definition.expression.text}")
+                    continue
+                value = self.resolve_value(key)
             else:
                 value = self.store.untriggered_read(key)
-                lines.append(f"define {key} {value}" if value else f"additem {key}")
+            lines.append(f"define {key} {value}" if value else f"additem {key}")
         for requirement in self.requirements:
             if not requirement.auto:
                 lines.append(f"addreq {requirement.pattern.render()}")
@@ -495,3 +469,10 @@ class Configurator:
             for command in commands:
                 lines.append(f"oncall {message} do {command}")
         return lines
+
+
+def _macro_tokens(macro) -> list[str]:
+    tokens = macro.split() if isinstance(macro, str) else list(macro)
+    if not tokens:
+        raise MacroParseError("empty macro")
+    return tokens

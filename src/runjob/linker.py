@@ -13,7 +13,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .configurator import Configurator, ConfiguratorDescription, Outcome, parse_identifier
+from .configurator import (
+    Configurator,
+    ConfiguratorDescription,
+    DependencyPattern,
+    Outcome,
+    format_identifier,
+    parse_identifier,
+)
 from .errors import (
     AmbiguousIdentifier,
     CircularReference,
@@ -56,9 +63,6 @@ class Linker:
     def register_type(self, type_name: str, factory) -> None:
         self._types[type_name] = factory
 
-    def knows_type(self, type_name: str) -> bool:
-        return type_name in self._types
-
     # container
 
     @property
@@ -93,12 +97,16 @@ class Linker:
         return description.identifier
 
     def _validate_requirements(self, cfg: Configurator) -> None:
-        attached = [c.description for c in self._configurators.values()]
         for requirement in cfg.requirements:
-            if not any(requirement.pattern.matches(d) for d in attached):
-                raise UnsatisfiedDependency(
-                    f"{cfg.identifier}: requirement {requirement.pattern.render()!r} "
-                    "matches no attached configurator")
+            self.require_attached(cfg, requirement.pattern)
+
+    def require_attached(self, cfg: Configurator, pattern: DependencyPattern) -> None:
+        """Strict-mode check that ``cfg``'s requirement ``pattern`` matches an
+        attached configurator."""
+        if not any(pattern.matches(c.description) for c in self._configurators.values()):
+            raise UnsatisfiedDependency(
+                f"{cfg.identifier}: requirement {pattern.render()!r} "
+                "matches no attached configurator")
 
     def find(self, identifier) -> Configurator:
         """Resolve "Type", "Type named Name", or a unique instance name.
@@ -114,7 +122,8 @@ class Linker:
         if instance is not None:
             cfg = self._configurators.get((type_name, instance))
             if cfg is None:
-                raise UnknownConfigurator(f"no configurator {type_name} named {instance}")
+                raise UnknownConfigurator(
+                    f"no configurator {format_identifier(type_name, instance)}")
             return cfg
         cfg = self._configurators.get((type_name, type_name))
         if cfg is not None:
@@ -136,16 +145,14 @@ class Linker:
 
     def route(self, identifier, macro) -> None:
         """Issue one macro command to the identified configurator."""
-        self.find(identifier).apply_macro(macro, self)
+        self.find(identifier).apply_macro(macro)
 
     # scriptgen registrations
 
-    def register_delegation(self, scriptgen: Configurator, delegator_type: str,
-                            messages=("MakeJob",)) -> None:
+    def register_delegation(self, scriptgen: Configurator, delegator_type: str) -> None:
         if delegator_type not in self._types:
             raise UnknownType(f"unknown configurator type {delegator_type!r}")
-        registration = ScriptGenRegistration(
-            scriptgen.description, delegator_type, frozenset(messages))
+        registration = ScriptGenRegistration(scriptgen.description, delegator_type)
         if registration not in self._registrations:
             self._registrations.append(registration)
         for cfg in self._configurators.values():
@@ -154,10 +161,7 @@ class Linker:
 
     def _apply_registration(self, registration: ScriptGenRegistration,
                             cfg: Configurator) -> None:
-        from .configurator import DependencyPattern  # local to avoid cycle at import
-
-        for message in registration.messages:
-            cfg.delegations[message] = registration.scriptgen
+        cfg.delegations["MakeJob"] = registration.scriptgen
         cfg.add_requirement(DependencyPattern(registration.scriptgen.type_name,
                                               registration.scriptgen.instance_name),
                             auto=True)
@@ -182,7 +186,7 @@ class Linker:
         for message in expanded:
             for cfg in list(self._configurators.values()):
                 try:
-                    outcome = cfg.handle_framework(message, self)
+                    outcome = cfg.handle_framework(message)
                 except RunjobError as exc:
                     exc.dispatch_context = (message, cfg.identifier)
                     raise
@@ -212,13 +216,13 @@ class Linker:
                 raise VisibilityViolation(
                     f"{requester.identifier} reads {target.identifier}:{key} "
                     "without a declared dependency")
-        return target.resolve_value(key, self)
+        return target.resolve_value(key)
 
     @contextmanager
     def resolution_guard(self, description: ConfiguratorDescription, key: str):
         frame = (description.type_name, description.instance_name, key)
         if frame in self._resolution_stack:
-            chain = " -> ".join(f"{t}:{k}" if t == i else f"{t} named {i}:{k}"
+            chain = " -> ".join(f"{ConfiguratorDescription(t, i).identifier}:{k}"
                                 for t, i, k in self._resolution_stack + [frame])
             raise CircularReference(f"reference cycle: {chain}")
         self._resolution_stack.append(frame)
@@ -295,7 +299,7 @@ class Linker:
             owner = self.find_by_description(registration.scriptgen)
             lines.append(f"cfg {owner.identifier} register {registration.delegator_type}")
         for cfg in configurators:
-            for command in cfg.dump_commands(resolve, self):
+            for command in cfg.dump_commands(resolve):
                 lines.append(f"cfg {cfg.identifier} {command}")
         for name, messages in self.framework_groups.items():
             lines.append(f"framework group {name} {' '.join(messages)}")

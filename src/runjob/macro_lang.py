@@ -13,9 +13,11 @@ Grammar (line oriented, UTF-8, LF or CRLF):
     endloop
 
 A trailing backslash joins the next physical line with a single space.
-Tokens are whitespace separated; ``named`` is reserved in identifier
-position.  Execution is line by line and fail-fast: the first error aborts
-with file:line context, leaving earlier directives applied.
+Tokens are whitespace separated; identifiers follow the configurator
+module's grammar, where ``named`` is reserved in identifier position.
+Execution is line by line and fail-fast: the first error aborts with
+file:line context, leaving earlier directives applied.  Checking is the
+same interpreter run without a linker.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DanglingContinuation, ParseError, RunjobError, SourceCycle
+from .configurator import format_identifier, parse_identifier, split_identifier
+from .errors import DanglingContinuation, MacroParseError, ParseError, RunjobError, SourceCycle
 
 LOOP_KEYWORD = "loop"
 ENDLOOP_KEYWORD = "endloop"
@@ -100,31 +103,24 @@ class Comment(Directive):
 
 
 @dataclass
-class Attach(Directive):
+class _Identified(Directive):
     type_name: str = ""
     instance_name: str | None = None
 
     @property
     def identifier(self) -> str:
-        if self.instance_name is None:
-            return self.type_name
-        return f"{self.type_name} named {self.instance_name}"
+        return format_identifier(self.type_name, self.instance_name)
 
+
+@dataclass
+class Attach(_Identified):
     def describe(self) -> str:
         return f"attach {self.identifier}"
 
 
 @dataclass
-class Cfg(Directive):
-    type_name: str = ""
-    instance_name: str | None = None
+class Cfg(_Identified):
     macro: list[str] = field(default_factory=list)
-
-    @property
-    def identifier(self) -> str:
-        if self.instance_name is None:
-            return self.type_name
-        return f"{self.type_name} named {self.instance_name}"
 
     def describe(self) -> str:
         return f"cfg {self.identifier} :: {' '.join(self.macro)}"
@@ -173,17 +169,18 @@ def parse_directive(line: LogicalLine, filename: str | None = None) -> Directive
         cls = Comment if line.comment else Blank
         return cls(line.lineno)
     head = tokens[0]
-    if head == "attach":
-        type_name, instance = _parse_identifier_tokens(tokens[1:], line, filename)
-        return Attach(line.lineno, type_name, instance)
-    if head == "cfg":
-        rest = tokens[1:]
-        if len(rest) >= 4 and rest[1] == "named":
-            return Cfg(line.lineno, rest[0], rest[2], rest[3:])
-        if len(rest) >= 2:
-            return Cfg(line.lineno, rest[0], None, rest[1:])
-        raise ParseError("cfg requires an identifier and a macro",
-                         filename=filename, lineno=line.lineno)
+    if head in ("attach", "cfg"):
+        try:
+            if head == "attach":
+                type_name, instance = parse_identifier(tokens[1:])
+                return Attach(line.lineno, type_name, instance)
+            type_name, instance, macro = split_identifier(tokens[1:])
+        except MacroParseError as exc:
+            raise ParseError(exc.message, filename=filename, lineno=line.lineno) from None
+        if not macro:
+            raise ParseError("cfg requires an identifier and a macro",
+                             filename=filename, lineno=line.lineno)
+        return Cfg(line.lineno, type_name, instance, macro)
     if head == "framework":
         if len(tokens) >= 3 and tokens[1] == "run":
             return FrameworkRun(line.lineno, tokens[2:])
@@ -204,30 +201,23 @@ def parse_directive(line: LogicalLine, filename: str | None = None) -> Directive
     raise ParseError(f"unknown directive {head!r}", filename=filename, lineno=line.lineno)
 
 
-def _parse_identifier_tokens(tokens, line, filename):
-    if len(tokens) == 1:
-        return tokens[0], None
-    if len(tokens) == 3 and tokens[1] == "named":
-        return tokens[0], tokens[2]
-    raise ParseError("identifier must be 'Type' or 'Type named Name', got: "
-                     + (" ".join(tokens) or "<empty>"),
-                     filename=filename, lineno=line.lineno)
-
-
 def _parse_loop_header(line: LogicalLine, filename) -> Loop:
     tokens = line.tokens
     if len(tokens) != 4:
         raise ParseError("usage: loop <var> <from> <to>",
                          filename=filename, lineno=line.lineno)
     for bound in tokens[2:]:
-        if "$(" in bound:
-            continue  # resolved by an outer loop at execution time
-        try:
-            int(bound)
-        except ValueError:
-            raise ParseError(f"loop bound {bound!r} is not an integer",
-                             filename=filename, lineno=line.lineno) from None
+        if "$(" not in bound:  # else resolved by an outer loop at execution time
+            _loop_bound(bound, line.lineno, filename)
     return Loop(line.lineno, tokens[1], tokens[2], tokens[3])
+
+
+def _loop_bound(bound: str, lineno: int, filename) -> int:
+    try:
+        return int(bound)
+    except ValueError:
+        raise ParseError(f"loop bound {bound!r} is not an integer",
+                         filename=filename, lineno=lineno) from None
 
 
 def parse_block(lines: list[LogicalLine], filename: str | None = None) -> list[Directive]:
@@ -292,9 +282,13 @@ def substitute_block(lines: list[LogicalLine], var: str, value: str) -> list[Log
 
 
 class MacroInterpreter:
-    """Executes directives against a linker, tracking source-file nesting."""
+    """Executes directives against a linker, tracking source-file nesting.
 
-    def __init__(self, linker):
+    Without a linker it only checks: sourced files are parsed in turn and
+    source cycles detected, but nothing executes and loops are not unrolled.
+    """
+
+    def __init__(self, linker=None):
         self.linker = linker
         self.log: list[str] = []
         self._source_stack: list[Path] = []
@@ -328,21 +322,19 @@ class MacroInterpreter:
                 raise
 
     def execute(self, directive: Directive, filename: str | None = None) -> None:
-        if isinstance(directive, (Blank, Comment)):
+        if isinstance(directive, Source):
+            self.run_file(self._resolve_source(directive.path, filename))
+            return  # run_file logs its own directives
+        if self.linker is None or isinstance(directive, (Blank, Comment)):
             return
         if isinstance(directive, Attach):
             self.linker.attach(directive.type_name, directive.instance_name)
         elif isinstance(directive, Cfg):
-            identifier = [directive.type_name] if directive.instance_name is None else \
-                [directive.type_name, "named", directive.instance_name]
-            self.linker.route(identifier, directive.macro)
+            self.linker.route(directive.identifier, directive.macro)
         elif isinstance(directive, FrameworkRun):
             self.linker.run_framework(*directive.messages)
         elif isinstance(directive, FrameworkGroup):
             self.linker.define_group(directive.name, directive.messages)
-        elif isinstance(directive, Source):
-            self.run_file(self._resolve_source(directive.path, filename))
-            return  # run_file logs its own directives
         elif isinstance(directive, Loop):
             self._execute_loop(directive, filename)
             return
@@ -357,18 +349,11 @@ class MacroInterpreter:
         return path
 
     def _execute_loop(self, loop: Loop, filename: str | None) -> None:
-        start, stop = (_loop_bound(loop, bound, filename) for bound in (loop.start, loop.stop))
+        start, stop = (_loop_bound(bound, loop.lineno, filename)
+                       for bound in (loop.start, loop.stop))
         for value in range(start, stop + 1):
             expanded = substitute_block(loop.body, loop.var, str(value))
             self.run_directives(parse_block(expanded, filename), filename)
-
-
-def _loop_bound(loop: Loop, bound: str, filename) -> int:
-    try:
-        return int(bound)
-    except ValueError:
-        raise ParseError(f"loop bound {bound!r} is not an integer",
-                         filename=filename, lineno=loop.lineno) from None
 
 
 def execute_script(linker, text: str, filename: str | None = None) -> list[str]:
@@ -380,18 +365,6 @@ def execute_file(linker, path) -> list[str]:
     return MacroInterpreter(linker).run_file(path)
 
 
-def check_script(path, _stack: list[Path] | None = None) -> list[Directive]:
+def check_script(path) -> None:
     """Parse a script and, recursively, everything it sources; execute nothing."""
-    path = Path(path).resolve()
-    stack = (_stack or []) + [path]
-    directives = parse_script(path.read_text(), str(path))
-    for directive in directives:
-        if isinstance(directive, Source):
-            target = Path(directive.path)
-            if not target.is_absolute():
-                target = path.parent / target
-            if target.resolve() in stack:
-                raise SourceCycle(f"{target.resolve()} is already being sourced",
-                                  filename=str(path), lineno=directive.lineno)
-            check_script(target, _stack=stack)
-    return directives
+    MacroInterpreter().run_file(path)

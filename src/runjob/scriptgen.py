@@ -1,10 +1,10 @@
 """Script generation: delegated fragment emission, composites, DAG wrapping.
 
 A ScriptGen is a configurator that other configurators delegate their job
-generation to.  Delegators render their own fragment payload; the scriptgen
-drives emission into the linker repository and later assembles the
-fragments into a composite shell script, or wraps them into a DAG
-description via DagGen.
+generation (the MakeJob message) to.  Delegators render their own fragment
+payload; the scriptgen drives emission into the linker repository it is
+bound to and later assembles the fragments into a composite shell script,
+or wraps them into a DAG description via DagGen.
 """
 
 from __future__ import annotations
@@ -24,18 +24,17 @@ class ScriptObject:
     object_id: str
     target: str  # execution environment, e.g. "shell" or "dag"
     payload: str
-    producer: ConfiguratorDescription
+    producer: ConfiguratorDescription | None  # None: not held in a repository
     sequence: int
     kind: str = "fragment"  # or "composite"
 
 
 @dataclass(frozen=True)
 class ScriptGenRegistration:
-    """A scriptgen's claim on a delegator type and the messages it takes over."""
+    """A scriptgen's claim on the MakeJob messages of a delegator type."""
 
     scriptgen: ConfiguratorDescription
     delegator_type: str
-    messages: frozenset = frozenset({"MakeJob"})
 
 
 def shell_quote(text: str) -> str:
@@ -87,16 +86,10 @@ class ScriptGen(Configurator):
         self.register_delegator(tokens[1])
         return True
 
-    def register_delegator(self, delegator_type: str, linker=None) -> None:
+    def register_delegator(self, delegator_type: str) -> None:
         """Make every configurator of ``delegator_type`` (present and future)
         delegate MakeJob to us; each delegator also gains a dependency on us."""
-        linker = linker if linker is not None else self._linker
-        linker.register_delegation(self, delegator_type)
-
-    def handle_delegated(self, message: str, delegator: Configurator) -> ScriptObject:
-        if message == "MakeJob":
-            return self.delegated_make_job(delegator)
-        raise MacroParseError(f"{self.identifier}: no delegated handler for {message!r}")
+        self._linker.register_delegation(self, delegator_type)
 
     def delegated_make_job(self, delegator: Configurator) -> ScriptObject:
         """Emit one fragment for ``delegator`` into the linker repository."""
@@ -105,9 +98,9 @@ class ScriptGen(Configurator):
             fragment_id(delegator.description), self.script_target, payload,
             delegator.description, kind="fragment")
 
-    def fragments(self, linker=None) -> list[ScriptObject]:
+    def fragments(self) -> list[ScriptObject]:
         """Repository fragments whose producer currently delegates to us."""
-        linker = linker if linker is not None else self._linker
+        linker = self._linker
         mine = []
         for obj in linker.collect_script_objects(target=self.script_target, kind="fragment"):
             producer = linker.find_by_description(obj.producer)
@@ -116,15 +109,14 @@ class ScriptGen(Configurator):
         return mine
 
     def _handle_make_script(self, linker) -> None:
-        self.make_composite(linker)
+        self.make_composite()
 
-    def make_composite(self, linker=None) -> ScriptObject:
+    def make_composite(self) -> ScriptObject:
         """Assemble our fragments, in sequence order, into one composite."""
-        linker = linker if linker is not None else self._linker
-        payload = compose_shell(self.fragments(linker))
+        payload = compose_shell(self.fragments())
         object_id = f"composite_{self.description.slug}"
-        linker.remove_script_objects(object_id=object_id)
-        return linker.new_script_object(
+        self._linker.remove_script_objects(object_id=object_id)
+        return self._linker.new_script_object(
             object_id, self.script_target, payload, self.description, kind="composite")
 
 
@@ -196,15 +188,12 @@ class DagGen(ScriptGen):
         super().__init__(description)
         self.add_item("ScriptGenName")
 
-    def make_composite(self, linker=None) -> ScriptObject:
-        return self.make_dag(linker)
-
-    def make_dag(self, linker=None) -> ScriptObject:
-        linker = linker if linker is not None else self._linker
+    def make_composite(self) -> ScriptObject:
+        linker = self._linker
         name = self.store.untriggered_read("ScriptGenName")
         fragments = None
         if name:
-            fragments = linker.find(name).fragments(linker)
+            fragments = linker.find(name).fragments()
         payload = build_dag(linker, fragments)
         object_id = f"dag_{self.description.slug}"
         linker.remove_script_objects(object_id=object_id)

@@ -44,11 +44,7 @@ class TriggerKind:
         if self.mode not in (_READ, _WRITE):
             raise ValueError(f"trigger mode must be 'read' or 'write', got {self.mode!r}")
         if self.key is not None:
-            _check_key(self.key)
-
-    @property
-    def is_global(self) -> bool:
-        return self.key is None
+            check_token(self.key)
 
 
 GLOBAL_READ = TriggerKind(_READ)
@@ -80,10 +76,12 @@ class TriggerHandler:
         self.callback([store, key, *self.extras])
 
 
-def _check_key(key) -> str:
-    if not isinstance(key, str) or not key or key.split() != [key]:
-        raise InvalidKey(f"invalid key: {key!r}")
-    return key
+def check_token(token, what: str = "key") -> str:
+    """Return ``token`` if it is one non-empty whitespace-free word, else
+    raise InvalidKey naming ``what`` it was meant to be."""
+    if not isinstance(token, str) or not token or token.split() != [token]:
+        raise InvalidKey(f"invalid {what}: {token!r}")
+    return token
 
 
 class TriggerStore:
@@ -113,12 +111,12 @@ class TriggerStore:
     # triggered access
 
     def write(self, key: str, value: str) -> None:
-        _check_key(key)
+        check_token(key)
         self._backend[key] = _check_value(value)
         self._fire(_WRITE, key)
 
     def read(self, key: str) -> str:
-        _check_key(key)
+        check_token(key)
         self._fire(_READ, key)
         if key not in self._backend:
             raise KeyNotFound(f"key not found: {key!r}")
@@ -127,11 +125,11 @@ class TriggerStore:
     # untriggered access
 
     def untriggered_write(self, key: str, value: str) -> None:
-        _check_key(key)
+        check_token(key)
         self._backend[key] = _check_value(value)
 
     def untriggered_read(self, key: str) -> str:
-        _check_key(key)
+        check_token(key)
         if key not in self._backend:
             raise KeyNotFound(f"key not found: {key!r}")
         return self._backend[key]

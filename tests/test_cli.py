@@ -48,6 +48,16 @@ class TestRunCommand:
         for stem in ("job_Step_StepA", "job_Step_StepB", "job_Step_StepC"):
             assert (out / f"{stem}.sh").exists()
 
+    def test_dag_fallback_matches_daggen_output(self, fixtures, tmp_path):
+        with_daggen = tmp_path / "with_daggen.mac"
+        with_daggen.write_text((fixtures / "chain.mac").read_text() + "attach DagGen\n")
+        dags = []
+        for name, script in (("plain", fixtures / "chain.mac"), ("daggen", with_daggen)):
+            out = tmp_path / name
+            assert run_cli("run", str(script), "--target", "dag", "--out", str(out)) == 0
+            dags.append((out / "workflow.dag").read_bytes())
+        assert dags[0] == dags[1]
+
     def test_parse_error_exits_one_with_location(self, fixtures, tmp_path, capsys):
         assert run_cli("run", str(fixtures / "dangling.mac"), "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err
@@ -158,6 +168,18 @@ class TestRepl:
         linker = make_linker(output_dir=tmp_path)
         out = self.drive(linker, "attach Fork\nframework run Reset\nquit\n")
         assert "Reset Fork: Handled" in out
+
+    def test_dry_run_report_matches_batch_run(self, fixtures, tmp_path, helloworld_text,
+                                              capsys):
+        run_cli("run", str(fixtures / "helloworld.mac"), "--out", str(tmp_path),
+                "--run-mode", "dry-run", "--framework", "Reset MakeJob MakeScript RunJob")
+        batch = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("dry-run: ")]
+        linker = make_linker(output_dir=tmp_path, run_mode="dry-run")
+        out = self.drive(linker, helloworld_text
+                         + "\nframework run Reset MakeJob MakeScript RunJob\nquit\n")
+        assert batch
+        assert [line for line in out.splitlines() if line.startswith("dry-run: ")] == batch
 
     def test_multiline_loop_collected_before_execution(self, tmp_path):
         linker = make_linker(output_dir=tmp_path)

@@ -36,9 +36,6 @@ class TestDescription:
         assert desc.identifier == "HelloWorld named English"
         assert desc.slug == "HelloWorld_English"
 
-    def test_version_defaults(self):
-        assert ConfiguratorDescription("T").version == "1"
-
 
 class TestDependencyPattern:
     def test_type_only_matches_any_instance(self):
@@ -51,12 +48,6 @@ class TestDependencyPattern:
         pattern = DependencyPattern("Step", "A")
         assert pattern.matches(ConfiguratorDescription("Step", "A"))
         assert not pattern.matches(ConfiguratorDescription("Step", "B"))
-
-    def test_unversioned_matches_any_version(self):
-        pattern = DependencyPattern("Step")
-        assert pattern.matches(ConfiguratorDescription("Step", "A", version="7"))
-        assert not DependencyPattern("Step", version="2").matches(
-            ConfiguratorDescription("Step", "A", version="7"))
 
     def test_render_round_trips_through_tokens(self):
         for pattern in (DependencyPattern("Step"), DependencyPattern("Step", "A")):
@@ -265,13 +256,19 @@ class TestOncall:
         cfg = linker.find(linker.attach("HelloWorld", "English"))
         cfg.apply_macro("oncall Tick do define HelloMessage first")
         cfg.apply_macro("oncall Tick do define HelloMessage second")
-        cfg.handle_framework("Tick", linker)
+        cfg.handle_framework("Tick")
         assert cfg.store.untriggered_read("HelloMessage") == "second"
 
     def test_invalid_stored_command_rejected(self, linker):
         cfg = linker.find(linker.attach("HelloWorld", "English"))
         with pytest.raises(MacroParseError):
             cfg.apply_macro("oncall Tick do define onlykey")
+
+    def test_stored_synonym_must_target_a_reference(self, linker):
+        cfg = linker.find(linker.attach("HelloWorld", "English"))
+        with pytest.raises(MacroParseError):
+            cfg.apply_macro("oncall Tick do synonym InFile literal")
+        assert cfg.dump_commands() == ["additem HelloMessage"]  # nothing was stored
 
     def test_never_dispatched_never_runs(self, linker):
         cfg = linker.find(linker.attach("HelloWorld", "English"))
@@ -288,25 +285,25 @@ class TestHandleFramework:
         linker.route("HelloWorldScriptGen", "register HelloWorld")
         linker.route("HelloWorld named English",
                      "define HelloMessage ::HelloWorldScriptGen:English")
-        outcome = linker.find("HelloWorld named English").handle_framework("MakeJob", linker)
+        outcome = linker.find("HelloWorld named English").handle_framework("MakeJob")
         assert str(outcome) == "Delegated to HelloWorldScriptGen"
 
     def test_unhandled_message_is_skipped_with_no_side_effects(self, linker):
         cfg = linker.find(linker.attach("HelloWorld", "English"))
         before = dict(cfg.store.items())
-        outcome = cfg.handle_framework("MakeScript", linker)
+        outcome = cfg.handle_framework("MakeScript")
         assert str(outcome) == "Skipped"
         assert dict(cfg.store.items()) == before
 
     def test_reset_is_handled_by_every_configurator(self, linker):
         for type_name in ("HelloWorldScriptGen", "Fork", "Step", "FileInput"):
             cfg = linker.find(linker.attach(type_name))
-            assert str(cfg.handle_framework("Reset", linker)) == "Handled"
+            assert str(cfg.handle_framework("Reset")) == "Handled"
 
     def test_stored_commands_alone_count_as_handled(self, linker):
         cfg = linker.find(linker.attach("HelloWorld", "English"))
         cfg.apply_macro("oncall Tick do additem Extra")
-        assert str(cfg.handle_framework("Tick", linker)) == "Handled"
+        assert str(cfg.handle_framework("Tick")) == "Handled"
 
 
 class TestResolveValue:

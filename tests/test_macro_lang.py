@@ -80,6 +80,8 @@ class TestParseDirective:
         "attach",
         "attach A named",
         "cfg OnlyIdentifier",
+        "cfg Step named",
+        "cfg A named B",
         "framework",
         "framework run",
         "source a b",

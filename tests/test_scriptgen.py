@@ -85,7 +85,7 @@ class TestMakeComposite:
     def test_three_fragments_in_attach_order(self, linker):
         sg = hello_setup(linker)
         linker.run_framework("MakeJob")
-        composite = sg.make_composite(linker)
+        composite = sg.make_composite()
         expected = ('#!/bin/sh\n'
                     '(\necho "Hello World"\n)\n'
                     '(\necho "Salut le Monde"\n)\n'
@@ -97,7 +97,7 @@ class TestMakeComposite:
     def test_zero_fragments_yield_runnable_empty_script(self, linker, tmp_path):
         linker.attach("HelloWorldScriptGen")
         sg = linker.find("HelloWorldScriptGen")
-        composite = sg.make_composite(linker)
+        composite = sg.make_composite()
         path = linker.materialize(composite)
         finished = subprocess.run([str(path)], capture_output=True, text=True)
         assert finished.returncode == 0
@@ -107,8 +107,8 @@ class TestMakeComposite:
         sg = hello_setup(linker)
         # emit out of attach order through direct framework calls
         for name in ("German", "English", "French"):
-            linker.find(f"HelloWorld named {name}").handle_framework("MakeJob", linker)
-        composite = sg.make_composite(linker)
+            linker.find(f"HelloWorld named {name}").handle_framework("MakeJob")
+        composite = sg.make_composite()
         first = composite.payload.find("Hallo Welt")
         second = composite.payload.find("Hello World")
         third = composite.payload.find("Salut le Monde")
@@ -117,14 +117,14 @@ class TestMakeComposite:
     def test_composite_payload_equals_fragment_concatenation(self, linker):
         sg = hello_setup(linker)
         linker.run_framework("MakeJob")
-        fragments = sg.fragments(linker)
-        assert sg.make_composite(linker).payload == compose_shell(fragments)
+        fragments = sg.fragments()
+        assert sg.make_composite().payload == compose_shell(fragments)
 
     def test_remake_replaces_previous_composite(self, linker):
         sg = hello_setup(linker)
         linker.run_framework("MakeJob")
-        sg.make_composite(linker)
-        sg.make_composite(linker)
+        sg.make_composite()
+        sg.make_composite()
         composites = linker.collect_script_objects(kind="composite")
         assert len(composites) == 1
 
