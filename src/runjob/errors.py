@@ -32,7 +32,8 @@ class InvalidKey(RunjobError):
 
 
 class RecursionLimitExceeded(RunjobError):
-    """Trigger handlers kept performing triggered accesses past the nesting cap."""
+    """Trigger handlers kept performing triggered accesses past the nesting cap,
+    or a reference chain grew too deep to resolve."""
 
 
 class BackendContractViolation(RunjobError):

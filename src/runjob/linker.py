@@ -9,6 +9,7 @@ and reference-cycle detection live.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +26,7 @@ from .errors import (
     AmbiguousIdentifier,
     CircularReference,
     DuplicateIdentifier,
+    RecursionLimitExceeded,
     RunjobError,
     UnknownConfigurator,
     UnknownType,
@@ -48,6 +50,9 @@ class Linker:
                  types: dict | None = None):
         self._types: dict[str, type] = dict(types or {})
         self._configurators: dict[tuple[str, str], Configurator] = {}
+        # configurators by instance name, and attached count per type
+        self._by_instance: defaultdict[str, list[Configurator]] = defaultdict(list)
+        self._type_counts: Counter[str] = Counter()
         self.repository: list[ScriptObject] = []
         self.framework_groups: dict[str, list[str]] = {}
         self.dispatch_log: list[DispatchRecord] = []
@@ -56,7 +61,8 @@ class Linker:
         self.run_mode = run_mode
         self._registrations: list[ScriptGenRegistration] = []
         self._next_sequence = 0
-        self._resolution_stack: list[tuple[str, str, str]] = []
+        # (type, instance, key) frames in resolution order; values unused
+        self._resolution_stack: dict[tuple[str, str, str], None] = {}
 
     # type registry
 
@@ -84,7 +90,10 @@ class Linker:
             raise DuplicateIdentifier(f"{description.identifier!r} is already attached")
         cfg = factory(description)
         cfg.bind(self)
+        instance = description.instance_name
         self._configurators[key] = cfg
+        self._by_instance[instance].append(cfg)
+        self._type_counts[type_name] += 1
         try:
             for registration in self._registrations:
                 if registration.delegator_type == type_name:
@@ -93,6 +102,8 @@ class Linker:
                 self._validate_requirements(cfg)
         except Exception:
             del self._configurators[key]
+            self._by_instance[instance].remove(cfg)
+            self._type_counts[type_name] -= 1
             raise
         return description.identifier
 
@@ -103,7 +114,11 @@ class Linker:
     def require_attached(self, cfg: Configurator, pattern: DependencyPattern) -> None:
         """Strict-mode check that ``cfg``'s requirement ``pattern`` matches an
         attached configurator."""
-        if not any(pattern.matches(c.description) for c in self._configurators.values()):
+        if pattern.instance_name is None:
+            attached = self._type_counts[pattern.type_name] > 0
+        else:
+            attached = (pattern.type_name, pattern.instance_name) in self._configurators
+        if not attached:
             raise UnsatisfiedDependency(
                 f"{cfg.identifier}: requirement {pattern.render()!r} "
                 "matches no attached configurator")
@@ -128,8 +143,7 @@ class Linker:
         cfg = self._configurators.get((type_name, type_name))
         if cfg is not None:
             return cfg
-        by_instance = [c for c in self._configurators.values()
-                       if c.description.instance_name == type_name]
+        by_instance = self._by_instance.get(type_name, ())
         if len(by_instance) == 1:
             return by_instance[0]
         if len(by_instance) > 1:
@@ -220,16 +234,30 @@ class Linker:
 
     @contextmanager
     def resolution_guard(self, description: ConfiguratorDescription, key: str):
+        """Track one (configurator, key) frame of a resolution chain.
+
+        A revisited frame raises CircularReference.  A chain too deep for
+        the interpreter stack raises RecursionLimitExceeded from the frame
+        the chain started at.
+        """
+        stack = self._resolution_stack
         frame = (description.type_name, description.instance_name, key)
-        if frame in self._resolution_stack:
+        if frame in stack:
             chain = " -> ".join(f"{ConfiguratorDescription(t, i).identifier}:{k}"
-                                for t, i, k in self._resolution_stack + [frame])
+                                for t, i, k in [*stack, frame])
             raise CircularReference(f"reference cycle: {chain}")
-        self._resolution_stack.append(frame)
+        outermost = not stack
+        stack[frame] = None
         try:
             yield
+        except RecursionError:
+            if not outermost:
+                raise
+            raise RecursionLimitExceeded(
+                f"reference chain from {description.identifier}:{key} is too deep "
+                "to resolve") from None
         finally:
-            self._resolution_stack.pop()
+            del stack[frame]
 
     # script object repository
 

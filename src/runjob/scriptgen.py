@@ -123,36 +123,48 @@ class ScriptGen(Configurator):
 def requirement_edges(linker, producers) -> list[tuple[ConfiguratorDescription,
                                                        ConfiguratorDescription]]:
     """Derive parent->child edges among ``producers`` from declared
-    requirements: B requiring A yields the edge A -> B."""
-    edges = []
+    requirements: B requiring A yields the edge A -> B.
+
+    Each requirement visits only the producers its pattern can name: every
+    producer of the type for "addreq Type", at most one for a named pattern.
+    """
+    by_type: dict[str, list[ConfiguratorDescription]] = {}
+    for producer in producers:
+        by_type.setdefault(producer.type_name, []).append(producer)
+    by_key = {(p.type_name, p.instance_name): p for p in producers}
+    edges: dict[tuple[ConfiguratorDescription, ConfiguratorDescription], None] = {}
     for child in producers:
-        child_cfg = linker.find_by_description(child)
-        for requirement in child_cfg.requirements:
-            for parent in producers:
-                if parent == child:
-                    continue
-                if requirement.pattern.matches(parent):
-                    edge = (parent, child)
-                    if edge not in edges:
-                        edges.append(edge)
-    return edges
+        for requirement in linker.find_by_description(child).requirements:
+            pattern = requirement.pattern
+            if pattern.instance_name is None:
+                candidates = by_type.get(pattern.type_name, ())
+            else:
+                named = by_key.get((pattern.type_name, pattern.instance_name))
+                candidates = () if named is None else (named,)
+            for parent in candidates:
+                if parent != child and pattern.matches(parent):
+                    edges[(parent, child)] = None
+    return list(edges)
 
 
 def _assert_acyclic(nodes, edges) -> None:
-    indegree = {node: 0 for node in nodes}
-    for _, child in edges:
+    """Kahn's topological sort over the edges, O(V+E)."""
+    children: dict[ConfiguratorDescription, list[ConfiguratorDescription]] = {
+        node: [] for node in nodes}
+    indegree = dict.fromkeys(children, 0)
+    for parent, child in edges:
+        children[parent].append(child)
         indegree[child] += 1
-    ready = [node for node in nodes if indegree[node] == 0]
+    ready = [node for node, degree in indegree.items() if degree == 0]
     seen = 0
     while ready:
         node = ready.pop()
         seen += 1
-        for parent, child in edges:
-            if parent == node:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    ready.append(child)
-    if seen != len(nodes):
+        for child in children[node]:
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                ready.append(child)
+    if seen != len(indegree):
         raise CyclicWorkflow("requirement graph among job producers has a cycle")
 
 
@@ -161,10 +173,7 @@ def build_dag(linker, fragments=None) -> str:
     one JOB line per fragment, one PARENT/CHILD line per edge."""
     if fragments is None:
         fragments = linker.collect_script_objects(target="shell", kind="fragment")
-    producers = []
-    for fragment in fragments:
-        if fragment.producer not in producers:
-            producers.append(fragment.producer)
+    producers = list(dict.fromkeys(fragment.producer for fragment in fragments))
     edges = requirement_edges(linker, producers)
     _assert_acyclic(producers, edges)
     order = {producer: i for i, producer in enumerate(producers)}

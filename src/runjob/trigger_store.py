@@ -103,7 +103,8 @@ class TriggerStore:
         else:
             _validate_backend(backend)
         self._backend = backend
-        self._handlers: dict[TriggerKind, list[TriggerHandler]] = {}
+        # (mode, key) -> handlers in registration order; key None is global
+        self._handlers: dict[tuple[str, str | None], list[TriggerHandler]] = {}
         self._next_id = 0
         self._depth = 0
         self._max_depth = max_depth
@@ -149,20 +150,24 @@ class TriggerStore:
         """
         handler = TriggerHandler(self._next_id, kind, callback, tuple(extras))
         self._next_id += 1
-        self._handlers.setdefault(kind, []).append(handler)
+        self._handlers.setdefault((kind.mode, kind.key), []).append(handler)
         return handler.handler_id
 
     def deregister_trigger(self, handler_id: int) -> None:
-        for handlers in self._handlers.values():
+        for slot, handlers in self._handlers.items():
             for i, handler in enumerate(handlers):
                 if handler.handler_id == handler_id:
                     del handlers[i]
+                    if not handlers:
+                        del self._handlers[slot]
                     return
         raise ValueError(f"no trigger registered with id {handler_id}")
 
     def _fire(self, mode: str, key: str) -> None:
-        pending = list(self._handlers.get(TriggerKind(mode), ()))
-        pending += self._handlers.get(TriggerKind(mode, key), ())
+        handlers = self._handlers
+        if not handlers:
+            return
+        pending = [*handlers.get((mode, None), ()), *handlers.get((mode, key), ())]
         if not pending:
             return
         if self._depth >= self._max_depth:

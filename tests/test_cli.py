@@ -211,6 +211,30 @@ def test_module_entry_point(fixtures, tmp_path):
     assert (out / "composite_HelloWorldScriptGen.sh").exists()
 
 
+def test_too_deep_reference_chain_is_a_clean_error(tmp_path):
+    # each hop nests several interpreter frames, so 10,000 hops exceed the
+    # default recursion limit many times over
+    depth = 10_000
+    lines = ["attach ScriptGen", "cfg ScriptGen register Step"]
+    lines += [f"attach Step named S{i}" for i in range(depth)]
+    lines += ["cfg Step named S0 define Executable cat",
+              "cfg Step named S0 define InputFile root.in"]
+    for i in range(1, depth):
+        lines += [f"cfg Step named S{i} define Executable cat",
+                  f"cfg Step named S{i} addreq Step named S{i - 1}",
+                  f"cfg Step named S{i} define InputFile ::S{i - 1}:InputFile"]
+    script = tmp_path / "deep.mac"
+    script.write_text("\n".join(lines) + "\n")
+    finished = subprocess.run(
+        [sys.executable, "-m", "runjob", "run", str(script), "--out", str(tmp_path / "build"),
+         "--run-mode", "dry-run"],
+        capture_output=True, text=True)
+    assert finished.returncode == 1
+    assert finished.stderr.startswith("error: reference chain from Step named S")
+    assert ":InputFile is too deep to resolve" in finished.stderr
+    assert "Traceback" not in finished.stderr
+
+
 def test_repl_subcommand_reads_stdin(tmp_path):
     finished = subprocess.run(
         [sys.executable, "-m", "runjob", "repl", "--out", str(tmp_path)],

@@ -5,6 +5,7 @@ import pytest
 from runjob import execute_script
 from runjob.configurator import Configurator, ConfiguratorDescription, DependencyPattern
 from runjob.errors import (
+    AmbiguousIdentifier,
     DuplicateIdentifier,
     KeyNotFound,
     UnknownConfigurator,
@@ -45,6 +46,19 @@ class TestAttach:
         lenient_linker.register_type("NeedsServer", NeedsServer)
         lenient_linker.attach("NeedsServer")
 
+    def test_rolled_back_attach_leaves_no_index_entry(self, linker):
+        linker.register_type("NeedsServer", NeedsServer)
+        with pytest.raises(UnsatisfiedDependency):
+            linker.attach("NeedsServer", "web")
+        with pytest.raises(UnknownConfigurator):
+            linker.find("web")
+        linker.attach("Step", "probe")
+        with pytest.raises(UnsatisfiedDependency):
+            linker.route("Step named probe", "addreq NeedsServer")
+        linker.attach("FileInput")
+        assert linker.attach("NeedsServer", "web") == "NeedsServer named web"
+        assert linker.find("web").identifier == "NeedsServer named web"
+
 
 class TestFind:
     def test_single_token_prefers_type_named_configurator(self, linker):
@@ -54,6 +68,13 @@ class TestFind:
     def test_single_token_falls_back_to_unique_instance(self, linker):
         linker.attach("Step", "StepA")
         assert linker.find("StepA").identifier == "Step named StepA"
+
+    def test_instance_name_shared_across_types_is_ambiguous(self, linker):
+        linker.attach("Step", "main")
+        linker.attach("HelloWorld", "main")
+        with pytest.raises(AmbiguousIdentifier):
+            linker.find("main")
+        assert linker.find("Step named main").description.type_name == "Step"
 
     def test_unknown_identifier(self, linker):
         with pytest.raises(UnknownConfigurator):
@@ -134,6 +155,12 @@ class TestLookupParameter:
         cfg = self.setup_pair(linker)
         cfg.apply_macro("define Mine hello")
         assert linker.lookup_parameter(cfg.description, cfg.identifier, "Mine") == "hello"
+
+    def test_redefined_reference_no_longer_resolves(self, linker):
+        cfg = self.setup_pair(linker)
+        cfg.apply_macro("define HelloMessage ::Ghost:x")
+        cfg.apply_macro("define HelloMessage hi")  # deregisters the reference trigger
+        assert linker.lookup_parameter(None, cfg.identifier, "HelloMessage") == "hi"
 
     def test_missing_key_propagates(self, linker):
         cfg = self.setup_pair(linker)

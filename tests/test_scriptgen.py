@@ -1,12 +1,14 @@
 """Script generation: delegation, composites, DAG wrapping, shell quoting."""
 
+import random
 import subprocess
 
 import pytest
 
-from runjob import execute_script
+from runjob import execute_script, make_linker
+from runjob.configurator import DependencyPattern
 from runjob.errors import CyclicWorkflow, UnknownType, VisibilityViolation
-from runjob.scriptgen import build_dag, compose_shell, shell_quote
+from runjob.scriptgen import ScriptObject, build_dag, compose_shell, fragment_id, shell_quote
 
 
 def hello_setup(linker, names=("English", "French", "German")):
@@ -239,6 +241,163 @@ def parse_dag(text):
                 for child in parts[child_at + 1:]:
                     edges.add((parent, child))
     return jobs, edges
+
+
+# The quadratic graph code build_dag used before it indexed the producers,
+# kept as the reference the indexed version must agree with.
+def reference_requirement_edges(linker, producers):
+    edges = []
+    for child in producers:
+        child_cfg = linker.find_by_description(child)
+        for requirement in child_cfg.requirements:
+            for parent in producers:
+                if parent == child:
+                    continue
+                if requirement.pattern.matches(parent):
+                    edge = (parent, child)
+                    if edge not in edges:
+                        edges.append(edge)
+    return edges
+
+
+def reference_assert_acyclic(nodes, edges):
+    indegree = {node: 0 for node in nodes}
+    for _, child in edges:
+        indegree[child] += 1
+    ready = [node for node in nodes if indegree[node] == 0]
+    seen = 0
+    while ready:
+        node = ready.pop()
+        seen += 1
+        for parent, child in edges:
+            if parent == node:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    ready.append(child)
+    if seen != len(nodes):
+        raise CyclicWorkflow("requirement graph among job producers has a cycle")
+
+
+def reference_build_dag(linker, fragments):
+    producers = []
+    for fragment in fragments:
+        if fragment.producer not in producers:
+            producers.append(fragment.producer)
+    edges = reference_requirement_edges(linker, producers)
+    reference_assert_acyclic(producers, edges)
+    order = {producer: i for i, producer in enumerate(producers)}
+    edges.sort(key=lambda e: (order[e[0]], order[e[1]]))
+    lines = [f"JOB {fragment_id(p)} {fragment_id(p)}.sh" for p in producers]
+    lines += [f"PARENT {fragment_id(a)} CHILD {fragment_id(b)}" for a, b in edges]
+    return "\n".join(lines) + "\n"
+
+
+def random_requirement_graph(rng, linker):
+    """Attach Steps and HelloWorlds with random requirements on a lenient
+    linker; return shell fragments, some repeated, for a random subset.
+
+    Half the graphs only point requirements at lower-ranked configurators
+    (plus type-wide ones on the last), so they are acyclic; the rest are
+    unconstrained and mostly cyclic.  Every graph may carry self and
+    overlapping requirements and patterns that match no producer.
+    """
+    linker.attach("ScriptGen")
+    linker.route("ScriptGen", "register Step")  # auto requirement on a non-producer
+    cfgs = [linker.find(linker.attach(rng.choice(("Step", "Step", "HelloWorld")), f"n{i}"))
+            for i in range(rng.randint(1, 12))]
+    acyclic = rng.random() < 0.5
+    for rank, cfg in enumerate(cfgs):
+        own = cfg.description
+        for _ in range(rng.randint(0, 3)):
+            roll = rng.random()
+            if roll < 0.15:
+                pattern = DependencyPattern(own.type_name, own.instance_name)  # self
+            elif roll < 0.3:
+                pattern = rng.choice((DependencyPattern("ScriptGen"),
+                                      DependencyPattern("FileInput"),
+                                      DependencyPattern("Step", "ghost")))
+            elif roll < 0.45 and (not acyclic or rank == len(cfgs) - 1):
+                pattern = DependencyPattern(rng.choice(("Step", "HelloWorld")))
+            elif not acyclic or rank:
+                target = rng.choice(cfgs if not acyclic else cfgs[:rank]).description
+                pattern = DependencyPattern(target.type_name, target.instance_name)
+            else:
+                continue
+            cfg.add_requirement(pattern)
+    producers = [cfg.description for cfg in cfgs if rng.random() < 0.8]
+    fragments = [ScriptObject(fragment_id(p), "shell", "true", p, 0)
+                 for p in producers for _ in range(rng.randint(1, 2))]
+    rng.shuffle(fragments)
+    return fragments
+
+
+def test_build_dag_matches_quadratic_reference(tmp_path):
+    outcomes = {"acyclic": 0, "cyclic": 0, "edges": 0}
+    for seed in range(200):
+        rng = random.Random(seed)
+        linker = make_linker(strict=False, output_dir=tmp_path)
+        fragments = random_requirement_graph(rng, linker)
+        try:
+            expected = reference_build_dag(linker, fragments)
+        except CyclicWorkflow:
+            with pytest.raises(CyclicWorkflow):
+                build_dag(linker, fragments)
+            outcomes["cyclic"] += 1
+        else:
+            assert build_dag(linker, fragments) == expected, f"seed {seed}"
+            outcomes["acyclic"] += 1
+            outcomes["edges"] += expected.count("PARENT")
+    assert outcomes["acyclic"] >= 40 and outcomes["cyclic"] >= 40
+    assert outcomes["edges"] >= 200
+
+
+class TestLinearCounts:
+    """Counts of DependencyPattern.matches calls, not timings, so a quadratic
+    scan that comes back fails on any machine."""
+
+    @staticmethod
+    def count_matches(monkeypatch):
+        calls = [0]
+        original = DependencyPattern.matches
+
+        def counted(self, description):
+            calls[0] += 1
+            return original(self, description)
+
+        monkeypatch.setattr(DependencyPattern, "matches", counted)
+        return calls
+
+    @staticmethod
+    def strict_chain(tmp_path, steps):
+        linker = make_linker(output_dir=tmp_path)
+        linker.attach("ScriptGen")
+        linker.route("ScriptGen", "register Step")
+        for i in range(steps):
+            linker.attach("Step", f"s{i}")
+            if i:
+                linker.route(f"Step named s{i}", f"addreq Step named s{i - 1}")
+        return linker
+
+    def test_build_dag_calls_grow_linearly(self, tmp_path, monkeypatch):
+        calls = self.count_matches(monkeypatch)
+        per_size = {}
+        for steps in (100, 1000):
+            linker = self.strict_chain(tmp_path, steps)
+            fragments = [ScriptObject(fragment_id(cfg.description), "shell", "true",
+                                      cfg.description, i)
+                         for i, cfg in enumerate(linker.configurators[1:])]
+            calls[0] = 0
+            text = build_dag(linker, fragments)
+            assert text.count("PARENT") == steps - 1
+            per_size[steps] = calls[0]
+        assert 0 < per_size[1000] <= 11 * per_size[100]
+
+    def test_strict_attach_and_addreq_scan_no_configurators(self, tmp_path, monkeypatch):
+        calls = self.count_matches(monkeypatch)
+        linker = self.strict_chain(tmp_path, 1000)
+        requirements = sum(len(cfg.requirements) for cfg in linker.configurators)
+        assert requirements == 1999
+        assert calls[0] <= requirements
 
 
 class TestShellQuote:
