@@ -5,7 +5,8 @@ declared dependencies on other configurators, framework-message handlers,
 and a chain of macro handlers ending in the base parser (additem, define,
 addreq, synonym, oncall).  Attached to a linker it becomes a namespace and
 is bound to that linker; values defined as references resolve lazily
-through it on every read.
+through it.  A read re-walks a reference chain only after something that
+can change its value has changed; constructs run on every read.
 
 This module also owns the configurator identifier grammar, "Type" or
 "Type named Name" with ``named`` reserved in identifier position.
@@ -24,7 +25,23 @@ from .errors import (
     RunjobError,
     UnknownMacro,
 )
-from .trigger_store import TriggerStore, check_token, indexed_read
+from .trigger_store import (
+    TriggerStore,
+    advance_epoch,
+    check_token,
+    current_epoch,
+    indexed_read,
+)
+
+# Counts reads whose value can change with no mutation: a construct run, or a
+# store read that fires handlers besides the key's own resolver.  A resolver
+# keeps its value only from a walk that left this count where it found it.
+_volatile_reads = 0
+
+
+def _volatile_read() -> None:
+    global _volatile_reads
+    _volatile_reads += 1
 
 
 def split_identifier(tokens: Sequence[str]) -> tuple[str, str | None, Sequence[str]]:
@@ -204,10 +221,11 @@ def parse_expression(tokens: Sequence[str]) -> ValueExpression:
     return ValueExpression.literal(" ".join(tokens))
 
 
-@dataclass
+@dataclass(slots=True)
 class _Definition:
     expression: ValueExpression
     trigger_id: int | None = None  # installed read trigger for the lazy kinds
+    resolved_at: int | None = None  # epoch at which the stored value was resolved
 
 
 class Configurator:
@@ -224,8 +242,8 @@ class Configurator:
     def __init__(self, description: ConfiguratorDescription):
         self.description = description
         self.store = TriggerStore()
-        self.synonyms: dict[str, tuple[str, str]] = {}
-        self.requirements: list[Requirement] = []
+        self._synonyms: dict[str, tuple[str, str]] = {}
+        self._requirements: tuple[Requirement, ...] = ()
         self.delegations: dict[str, ConfiguratorDescription] = {}
         self._framework_handlers: dict[str, Callable] = {}
         self._macro_handlers: list[Callable] = [self._base_macro_handler]
@@ -240,6 +258,12 @@ class Configurator:
     @property
     def identifier(self) -> str:
         return self.description.identifier
+
+    @property
+    def requirements(self) -> tuple[Requirement, ...]:
+        """Declared dependencies, in declaration order; only add_requirement
+        changes them, so resolved values can rely on them."""
+        return self._requirements
 
     def bind(self, linker) -> None:
         """Called by the linker on attach."""
@@ -318,8 +342,9 @@ class Configurator:
         """Set ``key`` to a literal or install a lazy resolution trigger.
 
         References, synonym lookups and constructs are installed as indexed
-        read triggers: every read re-resolves through the linker, so changes
-        upstream (or a fresh construct result) are always visible.
+        read triggers.  A read re-resolves through the linker only if the
+        epoch moved since the stored value was resolved, so changes upstream
+        are always visible; a construct runs on every read.
         """
         check_token(key)
         if isinstance(expression, str):
@@ -336,14 +361,23 @@ class Configurator:
                 f"{self.identifier}: no construct function registered for {key!r}")
         if key not in self.store:
             self.store.untriggered_write(key, "")
-        trigger_id = self.store.register_trigger(
-            indexed_read(key), self._make_resolver(key, expression))
-        self._definitions[key] = _Definition(expression, trigger_id)
+        definition = _Definition(expression)
+        definition.trigger_id = self.store.register_trigger(
+            indexed_read(key), self._make_resolver(key, definition))
+        self._definitions[key] = definition
 
-    def _make_resolver(self, key: str, expression: ValueExpression):
+    def _make_resolver(self, key: str, definition: _Definition):
         def resolve(args):
-            value = self._evaluate_expression(key, expression)
-            self.store.untriggered_write(key, value)
+            epoch = current_epoch()
+            if definition.resolved_at == epoch:
+                return  # the store still holds the value resolved at this epoch
+            volatile = _volatile_reads
+            value = self._evaluate_expression(key, definition.expression)
+            self.store.write_resolved(key, value)
+            if _volatile_reads == volatile:
+                # the epoch from before the walk: a change during it leaves
+                # this stamp stale at once
+                definition.resolved_at = epoch
         return resolve
 
     def _evaluate_expression(self, key: str, expression: ValueExpression) -> str:
@@ -354,10 +388,11 @@ class Configurator:
             if fn is None:
                 raise NoConstructRegistered(
                     f"{self.identifier}: no construct function registered for {key!r}")
+            _volatile_read()
             return str(fn(self, self._linker))
         if expression.kind == "synonym":
             lookup = expression.synonym_key or key
-            target = self.synonyms.get(lookup)
+            target = self._synonyms.get(lookup)
             if target is None:
                 raise KeyNotFound(f"{self.identifier}: no synonym defined for {lookup!r}")
             identifier, remote_key = target
@@ -373,24 +408,27 @@ class Configurator:
         if not isinstance(pattern, DependencyPattern):
             pattern = DependencyPattern.from_tokens(
                 pattern.split() if isinstance(pattern, str) else pattern)
-        for index, existing in enumerate(self.requirements):
+        for index, existing in enumerate(self._requirements):
             if existing.pattern == pattern:
                 if existing.auto and not auto:
                     # an explicit addreq outranks the registration-implied edge
-                    self.requirements[index] = Requirement(pattern, auto=False)
-                    return self.requirements[index]
+                    existing = Requirement(pattern, auto=False)
+                    self._requirements = (*self._requirements[:index], existing,
+                                          *self._requirements[index + 1:])
                 return existing
         if self._linker is not None and self._linker.strict:
             self._linker.require_attached(self, pattern)
         requirement = Requirement(pattern, auto)
-        self.requirements.append(requirement)
+        self._requirements += (requirement,)
+        advance_epoch()
         return requirement
 
     def set_synonym(self, key: str, target: tuple[str, str]) -> None:
         check_token(key)
         identifier, remote_key = target
-        self.synonyms[key] = (check_token(identifier, "identifier"),
+        self._synonyms[key] = (check_token(identifier, "identifier"),
                               check_token(remote_key))
+        advance_epoch()
 
     def store_oncall(self, message: str, command) -> None:
         """Store a macro to run whenever ``message`` is dispatched to us."""
@@ -402,6 +440,7 @@ class Configurator:
     def register_construct(self, key: str, fn: Callable) -> None:
         """Attach a construct function (developer API, not reachable from macros)."""
         self._constructors[check_token(key)] = fn
+        advance_epoch()
 
     def register_framework_handler(self, message: str, fn: Callable) -> None:
         self._framework_handlers[check_token(message, "message")] = fn
@@ -436,6 +475,10 @@ class Configurator:
 
     def resolve_value(self, key: str) -> str:
         """Triggered read of ``key`` with cycle detection across namespaces."""
+        definition = self._definitions.get(key)
+        own = None if definition is None else definition.trigger_id
+        if any(handler_id != own for handler_id in self.store.read_handler_ids(key)):
+            _volatile_read()  # such handlers must fire on every read through here
         if self._linker is None:
             return self.store.read(key)
         with self._linker.resolution_guard(self.description, key):
@@ -460,10 +503,10 @@ class Configurator:
             else:
                 value = self.store.untriggered_read(key)
             lines.append(f"define {key} {value}" if value else f"additem {key}")
-        for requirement in self.requirements:
+        for requirement in self._requirements:
             if not requirement.auto:
                 lines.append(f"addreq {requirement.pattern.render()}")
-        for key, (identifier, remote_key) in self.synonyms.items():
+        for key, (identifier, remote_key) in self._synonyms.items():
             lines.append(f"synonym {key} ::{identifier}:{remote_key}")
         for message, commands in self._stored_commands.items():
             for command in commands:

@@ -34,6 +34,7 @@ from .errors import (
     VisibilityViolation,
 )
 from .scriptgen import ScriptGenRegistration, ScriptObject
+from .trigger_store import advance_epoch
 
 DEFAULT_RUN_MODE = "foreground"
 
@@ -56,13 +57,19 @@ class Linker:
         self.repository: list[ScriptObject] = []
         self.framework_groups: dict[str, list[str]] = {}
         self.dispatch_log: list[DispatchRecord] = []
-        self.strict = bool(strict)
+        self._strict = bool(strict)
         self.output_dir = Path(output_dir)
         self.run_mode = run_mode
         self._registrations: list[ScriptGenRegistration] = []
         self._next_sequence = 0
         # (type, instance, key) frames in resolution order; values unused
         self._resolution_stack: dict[tuple[str, str, str], None] = {}
+
+    @property
+    def strict(self) -> bool:
+        """Strict dependency mode; fixed at construction, since resolved
+        values depend on it."""
+        return self._strict
 
     # type registry
 
@@ -94,6 +101,7 @@ class Linker:
         self._configurators[key] = cfg
         self._by_instance[instance].append(cfg)
         self._type_counts[type_name] += 1
+        advance_epoch()
         try:
             for registration in self._registrations:
                 if registration.delegator_type == type_name:
@@ -104,6 +112,7 @@ class Linker:
             del self._configurators[key]
             self._by_instance[instance].remove(cfg)
             self._type_counts[type_name] -= 1
+            advance_epoch()
             raise
         return description.identifier
 

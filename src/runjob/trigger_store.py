@@ -12,6 +12,9 @@ may lazily construct or refresh the value it guards.
 The storage backend is a plain dict by default and can be hot-swapped for
 any object honouring the mutable mapping contract (get/set/delete/contains
 and iteration in insertion order).
+
+Every mutation through the store API advances one process-wide epoch, which
+resolvers compare against to tell whether a value they resolved is stale.
 """
 
 from __future__ import annotations
@@ -30,6 +33,20 @@ DEFAULT_MAX_DEPTH = 16
 
 _READ = "read"
 _WRITE = "write"
+
+# Counts mutations that can change a resolved value.  It is process-wide, not
+# per store, because one reference chain crosses the stores of many
+# configurators and the linker that connects them.
+_epoch = 0
+
+
+def current_epoch() -> int:
+    return _epoch
+
+
+def advance_epoch() -> None:
+    global _epoch
+    _epoch += 1
 
 
 @dataclass(frozen=True)
@@ -114,10 +131,13 @@ class TriggerStore:
     def write(self, key: str, value: str) -> None:
         check_token(key)
         self._backend[key] = _check_value(value)
+        advance_epoch()
         self._fire(_WRITE, key)
 
     def read(self, key: str) -> str:
-        check_token(key)
+        # stored keys were checked when written, so only a miss needs the check
+        if not (isinstance(key, str) and key in self._backend):
+            check_token(key)
         self._fire(_READ, key)
         if key not in self._backend:
             raise KeyNotFound(f"key not found: {key!r}")
@@ -128,17 +148,28 @@ class TriggerStore:
     def untriggered_write(self, key: str, value: str) -> None:
         check_token(key)
         self._backend[key] = _check_value(value)
+        advance_epoch()
 
     def untriggered_read(self, key: str) -> str:
-        check_token(key)
-        if key not in self._backend:
+        if not (isinstance(key, str) and key in self._backend):
+            check_token(key)
             raise KeyNotFound(f"key not found: {key!r}")
         return self._backend[key]
+
+    def write_resolved(self, key: str, value: str) -> None:
+        """Untriggered write of the value a read handler resolved for ``key``.
+
+        It neither checks the key, which the handler's definition already
+        did, nor advances the epoch: the value is what the store's state
+        already implies.
+        """
+        self._backend[key] = value
 
     def delete(self, key: str) -> None:
         if key not in self._backend:
             raise KeyNotFound(f"key not found: {key!r}")
         del self._backend[key]
+        advance_epoch()
 
     # handler registry
 
@@ -151,6 +182,7 @@ class TriggerStore:
         handler = TriggerHandler(self._next_id, kind, callback, tuple(extras))
         self._next_id += 1
         self._handlers.setdefault((kind.mode, kind.key), []).append(handler)
+        advance_epoch()
         return handler.handler_id
 
     def deregister_trigger(self, handler_id: int) -> None:
@@ -160,8 +192,16 @@ class TriggerStore:
                     del handlers[i]
                     if not handlers:
                         del self._handlers[slot]
+                    advance_epoch()
                     return
         raise ValueError(f"no trigger registered with id {handler_id}")
+
+    def read_handler_ids(self, key: str) -> list[int]:
+        """Ids of the handlers a triggered read of ``key`` fires, in firing order."""
+        handlers = self._handlers
+        return [handler.handler_id
+                for slot in ((_READ, None), (_READ, key))
+                for handler in handlers.get(slot, ())]
 
     def _fire(self, mode: str, key: str) -> None:
         handlers = self._handlers
@@ -197,9 +237,12 @@ class TriggerStore:
         for key, value in self._backend.items():
             new_backend[key] = value
         self._backend = new_backend
+        advance_epoch()
 
     @property
     def backend(self) -> MutableMapping[str, str]:
+        """The raw mapping.  Mutating it directly bypasses handlers and the
+        epoch, so values already resolved from it may stay stale."""
         return self._backend
 
     # mapping sugar (iteration and membership never trigger)

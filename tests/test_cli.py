@@ -211,12 +211,11 @@ def test_module_entry_point(fixtures, tmp_path):
     assert (out / "composite_HelloWorldScriptGen.sh").exists()
 
 
-def test_too_deep_reference_chain_is_a_clean_error(tmp_path):
-    # each hop nests several interpreter frames, so 10,000 hops exceed the
-    # default recursion limit many times over
-    depth = 10_000
+def run_reference_chain(tmp_path, depth, attach_order):
+    """Run a chain S0 <- S1 <- ... in which each Step's InputFile references
+    its predecessor's, attached (and so asked for its job) in ``attach_order``."""
     lines = ["attach ScriptGen", "cfg ScriptGen register Step"]
-    lines += [f"attach Step named S{i}" for i in range(depth)]
+    lines += [f"attach Step named S{i}" for i in attach_order]
     lines += ["cfg Step named S0 define Executable cat",
               "cfg Step named S0 define InputFile root.in"]
     for i in range(1, depth):
@@ -225,14 +224,33 @@ def test_too_deep_reference_chain_is_a_clean_error(tmp_path):
                   f"cfg Step named S{i} define InputFile ::S{i - 1}:InputFile"]
     script = tmp_path / "deep.mac"
     script.write_text("\n".join(lines) + "\n")
-    finished = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "runjob", "run", str(script), "--out", str(tmp_path / "build"),
          "--run-mode", "dry-run"],
         capture_output=True, text=True)
+
+
+def test_too_deep_reference_chain_is_a_clean_error(tmp_path):
+    # attached last step first, the first read walks all 10,000 hops; each hop
+    # nests several interpreter frames, which exceeds the default recursion
+    # limit many times over
+    depth = 10_000
+    finished = run_reference_chain(tmp_path, depth, reversed(range(depth)))
     assert finished.returncode == 1
     assert finished.stderr.startswith("error: reference chain from Step named S")
     assert ":InputFile is too deep to resolve" in finished.stderr
     assert "Traceback" not in finished.stderr
+
+
+def test_in_order_deep_reference_chain_resolves(tmp_path):
+    # attached first step first, each read is one hop onto a predecessor
+    # that was resolved just before
+    depth = 10_000
+    finished = run_reference_chain(tmp_path, depth, range(depth))
+    assert finished.returncode == 0, finished.stderr
+    composite = (tmp_path / "build" / "composite_ScriptGen.sh").read_text()
+    fragments = [line for line in composite.splitlines() if line.startswith('"cat"')]
+    assert fragments == ['"cat" < "root.in"'] * depth
 
 
 def test_repl_subcommand_reads_stdin(tmp_path):

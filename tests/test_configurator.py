@@ -10,6 +10,7 @@ from runjob.configurator import (
     parse_expression,
 )
 from runjob.errors import (
+    AmbiguousIdentifier,
     CircularReference,
     InvalidKey,
     KeyNotFound,
@@ -18,6 +19,7 @@ from runjob.errors import (
     UnknownMacro,
     UnsatisfiedDependency,
 )
+from runjob.trigger_store import current_epoch
 
 
 def bare(type_name="Box", instance=None):
@@ -349,13 +351,32 @@ class TestResolveValue:
         with pytest.raises(KeyNotFound):
             cfg.resolve_value("Nope")
 
-    def test_chain_of_length_three_does_three_lookups_per_resolve(self, linker):
-        for name in ("A", "B", "C", "D"):
+    @pytest.mark.parametrize("change, expected", [
+        (lambda linker, source: linker.route("FileInput named D", "define v other"), "other"),
+        (lambda linker, source: linker.route("Step named C", "synonym v ::D:w"), "other"),
+        # a bare Configurator writes nothing when built: only attach itself
+        # tells the memo that "D" now names two configurators
+        (lambda linker, source: (linker.register_type("Box", Configurator),
+                                 linker.attach("Box", "D")), AmbiguousIdentifier),
+        (lambda linker, source: (source.write_text("v=reloaded\n"),
+                                 linker.run_framework("Reset")), "reloaded"),
+    ], ids=["define", "synonym", "ambiguous-attach", "reload"])
+    def test_chain_of_length_three_rewalks_only_after_a_change(self, linker, tmp_path,
+                                                                change, expected):
+        # A:v -> B:v -> C:v (through C's synonym table) -> D:v, read from a file
+        source = tmp_path / "d.txt"
+        source.write_text("v=end\nw=other\n")
+        for name in ("A", "B", "C"):
             linker.attach("Step", name)
-        linker.route("Step named D", "define v end")
-        for child, parent in (("C", "D"), ("B", "C"), ("A", "B")):
-            linker.route(f"Step named {child}", f"addreq Step named {parent}")
-            linker.route(f"Step named {child}", f"define v ::{parent}:v")
+        linker.attach("FileInput", "D")
+        linker.route("FileInput named D", f"define SourceFile {source}")
+        linker.run_framework("Reset")
+        for child, parent in (("B", "Step named C"), ("A", "Step named B")):
+            linker.route(f"Step named {child}", f"addreq {parent}")
+            linker.route(f"Step named {child}", f"define v ::{parent.split()[-1]}:v")
+        linker.route("Step named C", "addreq FileInput named D")
+        linker.route("Step named C", "synonym v ::D:v")
+        linker.route("Step named C", "define v ::synonym")
         calls = []
         original = linker.lookup_parameter
 
@@ -364,7 +385,42 @@ class TestResolveValue:
             return original(requester, target, key)
 
         linker.lookup_parameter = counting
-        assert linker.find("A").resolve_value("v") == "end"
-        assert len(calls) == 3  # one per reference hop, no caching
-        linker.find("A").resolve_value("v")
-        assert len(calls) == 6
+        head = linker.find("A")
+        assert head.resolve_value("v") == "end"
+        assert len(calls) == 3  # one per reference hop
+        head.resolve_value("v")
+        assert len(calls) == 3  # nothing changed, nothing re-walked
+        change(linker, source)
+        if isinstance(expected, str):
+            calls.clear()
+            assert head.resolve_value("v") == expected
+            assert len(calls) == 3
+            calls.clear()
+            assert head.resolve_value("v") == expected
+            assert calls == []
+        else:
+            for _ in range(2):  # an error is never kept: each read walks again
+                calls.clear()
+                with pytest.raises(expected):
+                    head.resolve_value("v")
+                assert len(calls) == 3
+
+    @pytest.mark.parametrize("mutate", [
+        lambda cfg: cfg.set_synonym("k", ("X", "k")),
+        lambda cfg: cfg.add_requirement(DependencyPattern("Step")),
+        lambda cfg: cfg.register_construct("k", lambda cfg, linker: ""),
+    ], ids=["set_synonym", "add_requirement", "register_construct"])
+    def test_mutations_advance_the_epoch(self, mutate):
+        cfg = bare()
+        before = current_epoch()
+        mutate(cfg)
+        assert current_epoch() > before
+
+    def test_requirements_change_only_through_add_requirement(self):
+        cfg = bare()
+        cfg.add_requirement(DependencyPattern("Step"))
+        with pytest.raises(AttributeError):
+            cfg.requirements.append(cfg.requirements[0])
+        with pytest.raises(AttributeError):
+            cfg.requirements = ()
+        assert [r.pattern for r in cfg.requirements] == [DependencyPattern("Step")]

@@ -3,6 +3,7 @@
 import pytest
 
 from runjob import execute_script
+from runjob import linker as linker_module
 from runjob.configurator import Configurator, ConfiguratorDescription, DependencyPattern
 from runjob.errors import (
     AmbiguousIdentifier,
@@ -58,6 +59,22 @@ class TestAttach:
         linker.attach("FileInput")
         assert linker.attach("NeedsServer", "web") == "NeedsServer named web"
         assert linker.find("web").identifier == "NeedsServer named web"
+
+    def test_attach_and_its_rollback_advance_the_epoch(self, linker, monkeypatch):
+        steps = []
+        monkeypatch.setattr(linker_module, "advance_epoch", lambda: steps.append(1))
+        linker.register_type("NeedsServer", NeedsServer)
+        linker.attach("Step", "probe")
+        assert len(steps) == 1
+        with pytest.raises(UnsatisfiedDependency):
+            linker.attach("NeedsServer")
+        assert len(steps) == 3  # once attached, once rolled back
+
+    def test_strict_is_read_only(self, linker, lenient_linker):
+        with pytest.raises(AttributeError):
+            linker.strict = False
+        assert linker.strict is True
+        assert lenient_linker.strict is False
 
 
 class TestFind:

@@ -12,6 +12,7 @@ from runjob.trigger_store import (
     GLOBAL_READ,
     GLOBAL_WRITE,
     TriggerStore,
+    current_epoch,
     indexed_read,
     indexed_write,
 )
@@ -90,6 +91,18 @@ class TestRead:
         with pytest.raises(KeyNotFound):
             store.read("absent")
         assert log == [("read", "absent")]
+
+    @pytest.mark.parametrize("key", ["", "two words", 7, ["k"]])
+    def test_invalid_or_unhashable_key_rejected(self, key):
+        store = TriggerStore()
+        store.write("k", "v")
+        log = []
+        store.register_trigger(GLOBAL_READ, recorder(log, "g"))
+        with pytest.raises(InvalidKey):
+            store.read(key)
+        with pytest.raises(InvalidKey):
+            store.untriggered_read(key)
+        assert log == []
 
 
 class TestUntriggered:
@@ -307,3 +320,41 @@ class TestAccounting:
         store.write("c", "3")
         store.untriggered_write("a", "4")
         assert count[0] == 2
+
+
+class TestEpoch:
+    @pytest.mark.parametrize("mutate", [
+        lambda store: store.write("k", "v2"),
+        lambda store: store.untriggered_write("k", "v2"),
+        lambda store: store.delete("k"),
+        lambda store: store.swap_backend({}),
+        lambda store: store.register_trigger(GLOBAL_READ, lambda args: None),
+        lambda store: store.deregister_trigger(0),
+    ], ids=["write", "untriggered_write", "delete", "swap_backend", "register",
+            "deregister"])
+    def test_every_mutation_advances_the_epoch(self, mutate):
+        store = TriggerStore()
+        store.write("k", "v")
+        store.register_trigger(indexed_write("k"), lambda args: None)
+        before = current_epoch()
+        mutate(store)
+        assert current_epoch() > before
+
+    def test_reads_and_resolved_writes_leave_the_epoch(self):
+        store = TriggerStore()
+        store.write("k", "v")
+        before = current_epoch()
+        store.read("k")
+        store.untriggered_read("k")
+        store.write_resolved("k", "resolved")
+        assert store.untriggered_read("k") == "resolved"
+        assert current_epoch() == before
+
+    def test_read_handler_ids_in_firing_order(self):
+        store = TriggerStore()
+        indexed = store.register_trigger(indexed_read("k"), lambda args: None)
+        store.register_trigger(indexed_read("other"), lambda args: None)
+        store.register_trigger(indexed_write("k"), lambda args: None)
+        glob = store.register_trigger(GLOBAL_READ, lambda args: None)
+        assert store.read_handler_ids("k") == [glob, indexed]
+        assert store.read_handler_ids("none") == [glob]
