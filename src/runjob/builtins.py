@@ -28,7 +28,7 @@ class HelloWorld(Configurator):
         super().__init__(description)
         self.add_item("HelloMessage")
 
-    def fragment_payload(self, linker) -> str:
+    def fragment_payload(self) -> str:
         message = self.resolve_value("HelloMessage")
         return f"echo {shell_quote(message)}"
 
@@ -49,7 +49,7 @@ class Step(Configurator):
         for key in self.SCHEMA:
             self.add_item(key)
 
-    def fragment_payload(self, linker) -> str:
+    def fragment_payload(self) -> str:
         executable = self.resolve_value("Executable")
         if not executable:
             raise RunjobError(f"{self.identifier}: Executable is not set")
@@ -73,13 +73,13 @@ class FileInput(Configurator):
         super().__init__(description)
         self.add_item("SourceFile")
 
-    def on_reset(self, linker) -> None:
-        if self.store.untriggered_read("SourceFile"):
+    def on_reset(self) -> None:
+        if self.resolve_value("SourceFile"):
             self.load()
 
     def load(self) -> int:
         """Read SourceFile into the store (untriggered); returns pair count."""
-        path = Path(self.store.untriggered_read("SourceFile"))
+        path = Path(self.resolve_value("SourceFile"))
         count = 0
         for key, value in read_key_values(path):
             self.store.untriggered_write(key, value)
@@ -138,13 +138,13 @@ class Fork(Configurator):
         self.register_framework_handler("RunJob", self._handle_run_job)
         self.last_run_report: RunReport | None = None
 
-    def _handle_run_job(self, linker) -> None:
-        self.last_run_report = self.run_jobs(linker, linker.run_mode)
+    def _handle_run_job(self) -> None:
+        self.last_run_report = self.run_jobs(self._linker.run_mode)
 
-    def on_reset(self, linker) -> None:
+    def on_reset(self) -> None:
         self.last_run_report = None
 
-    def run_jobs(self, linker, mode: str = "foreground") -> RunReport:
+    def run_jobs(self, mode: str = "foreground") -> RunReport:
         """Spawn every path in ExecutableList according to ``mode``."""
         if mode not in RUN_MODES:
             raise RunjobError(f"unknown run mode {mode!r}")
@@ -180,7 +180,7 @@ class Fork(Configurator):
 def _collect_composite_paths(cfg: Fork, linker) -> str:
     """Construct function for Fork.ExecutableList: materialize and list the
     named scriptgen's composites, in sequence order."""
-    name = cfg.store.untriggered_read("ScriptGenName")
+    name = cfg.resolve_value("ScriptGenName")
     if not name:
         return ""
     scriptgen = linker.find(name)

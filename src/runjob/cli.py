@@ -31,6 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a macro script")
     run.add_argument("script", help="macro script file")
     _common_flags(run)
+    run.add_argument("--target", choices=("shell", "dag"), default="shell",
+                     help="write shell composites, or a DAG plus per-job scripts")
     run.add_argument("--check", action="store_true",
                      help="parse the script (and sourced files) without executing")
     run.add_argument("--dump", metavar="PATH",
@@ -52,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _common_flags(parser) -> None:
     parser.add_argument("--out", metavar="DIR", default=".",
                         help="output directory for materialized artifacts")
-    parser.add_argument("--target", choices=("shell", "dag"), default="shell")
     parser.add_argument("--lenient-deps", action="store_true",
                         default=os.environ.get(LENIENT_ENV_VAR) == "1",
                         help="disable dependency checking and namespace visibility "

@@ -159,10 +159,6 @@ HANDLED = Outcome("Handled")
 SKIPPED = Outcome("Skipped")
 
 
-def delegated(target: ConfiguratorDescription) -> Outcome:
-    return Outcome("Delegated", target)
-
-
 @dataclass(frozen=True)
 class ValueExpression:
     """Right-hand side of a define: literal text, a cross-namespace reference,
@@ -231,10 +227,10 @@ class _Definition:
 class Configurator:
     """Base configurator: metadata store plus macro and framework plumbing.
 
-    Subclasses declare schema keys in ``__init__``, register framework
-    handlers with :meth:`register_framework_handler`, and extend the macro
-    language with :meth:`add_macro_handler` (new handlers run before the
-    base parser, which always stays last in the chain).
+    Subclasses declare schema keys in ``__init__``, register zero-argument
+    framework handlers with :meth:`register_framework_handler`, and extend
+    the macro language with :meth:`add_macro_handler` (new handlers run
+    before the base parser, which always stays last in the chain).
     """
 
     STATIC_REQUIREMENTS: tuple[DependencyPattern, ...] = ()
@@ -244,7 +240,7 @@ class Configurator:
         self.store = TriggerStore()
         self._synonyms: dict[str, tuple[str, str]] = {}
         self._requirements: tuple[Requirement, ...] = ()
-        self.delegations: dict[str, ConfiguratorDescription] = {}
+        self.delegate: ConfiguratorDescription | None = None  # scriptgen that makes our job
         self._framework_handlers: dict[str, Callable] = {}
         self._macro_handlers: list[Callable] = [self._base_macro_handler]
         self._stored_commands: dict[str, list[str]] = {}
@@ -338,7 +334,7 @@ class Configurator:
         if key not in self.store:
             self.store.untriggered_write(key, "")
 
-    def define(self, key: str, expression) -> None:
+    def define(self, key: str, expression: ValueExpression) -> None:
         """Set ``key`` to a literal or install a lazy resolution trigger.
 
         References, synonym lookups and constructs are installed as indexed
@@ -347,8 +343,6 @@ class Configurator:
         are always visible; a construct runs on every read.
         """
         check_token(key)
-        if isinstance(expression, str):
-            expression = ValueExpression.literal(expression)
         old = self._definitions.pop(key, None)
         if old is not None and old.trigger_id is not None:
             self.store.deregister_trigger(old.trigger_id)
@@ -403,11 +397,8 @@ class Configurator:
                 f"{self.identifier}: cannot resolve {expression.text!r} without a linker")
         return self._linker.lookup_parameter(self.description, identifier, remote_key)
 
-    def add_requirement(self, pattern, auto: bool = False) -> Requirement:
+    def add_requirement(self, pattern: DependencyPattern, auto: bool = False) -> Requirement:
         """Record a dependency; strict linkers validate it immediately."""
-        if not isinstance(pattern, DependencyPattern):
-            pattern = DependencyPattern.from_tokens(
-                pattern.split() if isinstance(pattern, str) else pattern)
         for index, existing in enumerate(self._requirements):
             if existing.pattern == pattern:
                 if existing.auto and not auto:
@@ -442,33 +433,33 @@ class Configurator:
         self._constructors[check_token(key)] = fn
         advance_epoch()
 
-    def register_framework_handler(self, message: str, fn: Callable) -> None:
+    def register_framework_handler(self, message: str, fn: Callable[[], object]) -> None:
         self._framework_handlers[check_token(message, "message")] = fn
 
     # framework dispatch
 
     def handle_framework(self, message: str) -> Outcome:
         """Dispatch one framework message: stored commands first, then either
-        the registered delegation, the registered handler, or nothing."""
+        MakeJob to the delegate, the registered handler, or nothing."""
         stored = list(self._stored_commands.get(message, ()))
         for command in stored:
             self.apply_macro(command)
-        if message in self.delegations:
-            target = self.delegations[message]
-            self._linker.find_by_description(target).delegated_make_job(self)
-            return delegated(target)
-        if message in self._framework_handlers:
-            self._framework_handlers[message](self._linker)
+        if message == "MakeJob" and self.delegate is not None:
+            self._linker.find_by_description(self.delegate).delegated_make_job(self)
+            return Outcome("Delegated", self.delegate)
+        handler = self._framework_handlers.get(message)
+        if handler is not None:
+            handler()
             return HANDLED
         # Stored commands count as handling; Skipped must mean no side effects.
         return HANDLED if stored else SKIPPED
 
-    def _handle_reset(self, linker) -> None:
-        if linker is not None:
-            linker.remove_script_objects(producer=self.description)
-        self.on_reset(linker)
+    def _handle_reset(self) -> None:
+        if self._linker is not None:
+            self._linker.remove_script_objects(producer=self.description)
+        self.on_reset()
 
-    def on_reset(self, linker) -> None:
+    def on_reset(self) -> None:
         """Subclass hook run on every Reset dispatch."""
 
     # resolution
@@ -484,7 +475,7 @@ class Configurator:
         with self._linker.resolution_guard(self.description, key):
             return self.store.read(key)
 
-    def fragment_payload(self, linker) -> str:
+    def fragment_payload(self) -> str:
         raise NotImplementedError(
             f"{type(self).__name__} does not generate script fragments")
 

@@ -9,6 +9,7 @@ and reference-cycle detection live.
 
 from __future__ import annotations
 
+import os
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from .errors import (
     UnsatisfiedDependency,
     VisibilityViolation,
 )
-from .scriptgen import ScriptGenRegistration, ScriptObject
+from .scriptgen import ScriptObject
 from .trigger_store import advance_epoch
 
 DEFAULT_RUN_MODE = "foreground"
@@ -55,12 +56,14 @@ class Linker:
         self._by_instance: defaultdict[str, list[Configurator]] = defaultdict(list)
         self._type_counts: Counter[str] = Counter()
         self.repository: list[ScriptObject] = []
+        self._object_producers: dict[str, ConfiguratorDescription] = {}  # by object id
         self.framework_groups: dict[str, list[str]] = {}
         self.dispatch_log: list[DispatchRecord] = []
         self._strict = bool(strict)
         self.output_dir = Path(output_dir)
         self.run_mode = run_mode
-        self._registrations: list[ScriptGenRegistration] = []
+        # (scriptgen, delegator type) in registration order
+        self._registrations: list[tuple[Configurator, str]] = []
         self._next_sequence = 0
         # (type, instance, key) frames in resolution order; values unused
         self._resolution_stack: dict[tuple[str, str, str], None] = {}
@@ -103,9 +106,9 @@ class Linker:
         self._type_counts[type_name] += 1
         advance_epoch()
         try:
-            for registration in self._registrations:
-                if registration.delegator_type == type_name:
-                    self._apply_registration(registration, cfg)
+            for scriptgen, delegator_type in self._registrations:
+                if delegator_type == type_name:
+                    self._delegate(cfg, scriptgen)
             if self.strict:
                 self._validate_requirements(cfg)
         except Exception:
@@ -173,24 +176,24 @@ class Linker:
     # scriptgen registrations
 
     def register_delegation(self, scriptgen: Configurator, delegator_type: str) -> None:
+        """Make every configurator of ``delegator_type``, present and future,
+        delegate MakeJob to ``scriptgen``."""
         if delegator_type not in self._types:
             raise UnknownType(f"unknown configurator type {delegator_type!r}")
-        registration = ScriptGenRegistration(scriptgen.description, delegator_type)
-        if registration not in self._registrations:
-            self._registrations.append(registration)
+        if (scriptgen, delegator_type) not in self._registrations:
+            self._registrations.append((scriptgen, delegator_type))
         for cfg in self._configurators.values():
             if cfg.description.type_name == delegator_type:
-                self._apply_registration(registration, cfg)
+                self._delegate(cfg, scriptgen)
 
-    def _apply_registration(self, registration: ScriptGenRegistration,
-                            cfg: Configurator) -> None:
-        cfg.delegations["MakeJob"] = registration.scriptgen
-        cfg.add_requirement(DependencyPattern(registration.scriptgen.type_name,
-                                              registration.scriptgen.instance_name),
-                            auto=True)
+    @staticmethod
+    def _delegate(cfg: Configurator, scriptgen: Configurator) -> None:
+        """Route ``cfg``'s MakeJob to ``scriptgen``, which ``cfg`` then depends on."""
+        cfg.delegate = target = scriptgen.description
+        cfg.add_requirement(DependencyPattern(target.type_name, target.instance_name), auto=True)
 
     @property
-    def registrations(self) -> list[ScriptGenRegistration]:
+    def registrations(self) -> list[tuple[Configurator, str]]:
         return list(self._registrations)
 
     # framework
@@ -274,11 +277,17 @@ class Linker:
                           producer: ConfiguratorDescription,
                           kind: str = "fragment") -> ScriptObject:
         obj = ScriptObject(object_id, target, payload, producer, self._next_sequence, kind)
-        self._next_sequence += 1
-        self.repository.append(obj)
+        self.add_script_object(obj)
         return obj
 
     def add_script_object(self, obj: ScriptObject) -> None:
+        """Hold ``obj`` in the repository.  An object id names one artifact
+        file, so it may not be held for two producers at once."""
+        holder = self._object_producers.setdefault(obj.object_id, obj.producer)
+        if holder != obj.producer:
+            raise DuplicateIdentifier(
+                f"{obj.producer.identifier} and {holder.identifier} "
+                f"both produce {obj.object_id!r}")
         self.repository.append(obj)
         self._next_sequence = max(self._next_sequence, obj.sequence + 1)
 
@@ -298,24 +307,33 @@ class Linker:
                 if not ((producer is None or obj.producer == producer)
                         and (object_id is None or obj.object_id == object_id))]
         removed = len(self.repository) - len(keep)
-        self.repository = keep
+        if removed:
+            self.repository = keep
+            self._object_producers = {obj.object_id: obj.producer for obj in keep}
         return removed
 
     def materialize(self, obj: ScriptObject) -> Path:
         """Write a script object under the output directory and return the path.
 
         Shell artifacts get the executable bit; DAG composites are written
-        as ``workflow.dag``.
+        as ``workflow.dag``.  The file is written beside its final name and
+        then renamed over it, so a reader never sees a partial artifact.
         """
         self.output_dir.mkdir(parents=True, exist_ok=True)
         if obj.target == "dag":
             path = self.output_dir / "workflow.dag"
         else:
             path = self.output_dir / f"{obj.object_id}.sh"
-        with open(path, "w", newline="\n") as handle:
-            handle.write(obj.payload)
-        if path.suffix == ".sh":
-            path.chmod(0o755)
+        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(temp, "w", newline="\n") as handle:
+                handle.write(obj.payload)
+            if path.suffix == ".sh":
+                temp.chmod(0o755)
+            os.replace(temp, path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
         return path
 
     # declarative dump
@@ -332,9 +350,8 @@ class Linker:
         for cfg in configurators:
             lines.append(f"attach {cfg.identifier}")
         # registration order matters when two scriptgens claim one type
-        for registration in self._registrations:
-            owner = self.find_by_description(registration.scriptgen)
-            lines.append(f"cfg {owner.identifier} register {registration.delegator_type}")
+        for scriptgen, delegator_type in self._registrations:
+            lines.append(f"cfg {scriptgen.identifier} register {delegator_type}")
         for cfg in configurators:
             for command in cfg.dump_commands(resolve):
                 lines.append(f"cfg {cfg.identifier} {command}")

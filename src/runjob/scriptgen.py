@@ -29,14 +29,6 @@ class ScriptObject:
     kind: str = "fragment"  # or "composite"
 
 
-@dataclass(frozen=True)
-class ScriptGenRegistration:
-    """A scriptgen's claim on the MakeJob messages of a delegator type."""
-
-    scriptgen: ConfiguratorDescription
-    delegator_type: str
-
-
 def shell_quote(text: str) -> str:
     """Double-quote ``text`` for POSIX sh, escaping the characters that stay
     special inside double quotes."""
@@ -68,14 +60,16 @@ class ScriptGen(Configurator):
     """Delegation target assembling shell composites.
 
     Handles MakeScript itself; MakeJob reaches it only through delegation
-    from registered delegator types (macro: ``register <Type>``).
+    from registered delegator types (macro: ``register <Type>``).  A
+    subclass changes the composite by overriding :meth:`compose`.
     """
 
     script_target = "shell"
+    composite_prefix = "composite"
 
     def __init__(self, description: ConfiguratorDescription):
         super().__init__(description)
-        self.register_framework_handler("MakeScript", self._handle_make_script)
+        self.register_framework_handler("MakeScript", self.make_composite)
         self.add_macro_handler(self._scriptgen_macro_handler)
 
     def _scriptgen_macro_handler(self, tokens: list[str]) -> bool:
@@ -83,17 +77,12 @@ class ScriptGen(Configurator):
             return False
         if len(tokens) != 2:
             raise MacroParseError("usage: register <configurator-type>")
-        self.register_delegator(tokens[1])
+        self._linker.register_delegation(self, tokens[1])
         return True
-
-    def register_delegator(self, delegator_type: str) -> None:
-        """Make every configurator of ``delegator_type`` (present and future)
-        delegate MakeJob to us; each delegator also gains a dependency on us."""
-        self._linker.register_delegation(self, delegator_type)
 
     def delegated_make_job(self, delegator: Configurator) -> ScriptObject:
         """Emit one fragment for ``delegator`` into the linker repository."""
-        payload = delegator.fragment_payload(self._linker)
+        payload = delegator.fragment_payload()
         return self._linker.new_script_object(
             fragment_id(delegator.description), self.script_target, payload,
             delegator.description, kind="fragment")
@@ -101,21 +90,20 @@ class ScriptGen(Configurator):
     def fragments(self) -> list[ScriptObject]:
         """Repository fragments whose producer currently delegates to us."""
         linker = self._linker
-        mine = []
-        for obj in linker.collect_script_objects(target=self.script_target, kind="fragment"):
-            producer = linker.find_by_description(obj.producer)
-            if self.description in producer.delegations.values():
-                mine.append(obj)
-        return mine
+        return [obj for obj in linker.collect_script_objects(target=self.script_target,
+                                                             kind="fragment")
+                if linker.find_by_description(obj.producer).delegate == self.description]
 
-    def _handle_make_script(self, linker) -> None:
-        self.make_composite()
+    def compose(self) -> str:
+        """Payload of our composite: our fragments, in sequence order, as one
+        shell script."""
+        return compose_shell(self.fragments())
 
     def make_composite(self) -> ScriptObject:
-        """Assemble our fragments, in sequence order, into one composite."""
-        payload = compose_shell(self.fragments())
-        object_id = f"composite_{self.description.slug}"
-        self._linker.remove_script_objects(object_id=object_id)
+        """Replace our previous composite, if any, with a newly composed one."""
+        payload = self.compose()
+        object_id = f"{self.composite_prefix}_{self.description.slug}"
+        self._linker.remove_script_objects(producer=self.description, object_id=object_id)
         return self._linker.new_script_object(
             object_id, self.script_target, payload, self.description, kind="composite")
 
@@ -192,19 +180,13 @@ class DagGen(ScriptGen):
     """
 
     script_target = "dag"
+    composite_prefix = "dag"
 
     def __init__(self, description: ConfiguratorDescription):
         super().__init__(description)
         self.add_item("ScriptGenName")
 
-    def make_composite(self) -> ScriptObject:
-        linker = self._linker
-        name = self.store.untriggered_read("ScriptGenName")
-        fragments = None
-        if name:
-            fragments = linker.find(name).fragments()
-        payload = build_dag(linker, fragments)
-        object_id = f"dag_{self.description.slug}"
-        linker.remove_script_objects(object_id=object_id)
-        return linker.new_script_object(
-            object_id, "dag", payload, self.description, kind="composite")
+    def compose(self) -> str:
+        name = self.resolve_value("ScriptGenName")
+        fragments = self._linker.find(name).fragments() if name else None
+        return build_dag(self._linker, fragments)

@@ -2,6 +2,7 @@
 
 import subprocess
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -23,18 +24,18 @@ class TestHelloWorldFragment:
 
     def test_english_payload(self, linker):
         cfg = self.make_hello(linker, "Hello World")
-        assert cfg.fragment_payload(linker) == 'echo "Hello World"'
+        assert cfg.fragment_payload() == 'echo "Hello World"'
 
     def test_embedded_quote_is_escaped(self, linker):
         cfg = self.make_hello(linker, 'she said "hi"')
-        payload = cfg.fragment_payload(linker)
+        payload = cfg.fragment_payload()
         finished = run_sh(payload)
         assert finished.stdout == 'she said "hi"\n'
 
     def test_empty_message_prints_blank_line(self, linker):
         linker.attach("HelloWorldScriptGen")
         cfg = linker.find(linker.attach("HelloWorld", "X"))
-        payload = cfg.fragment_payload(linker)
+        payload = cfg.fragment_payload()
         assert payload == 'echo ""'
         assert run_sh(payload).stdout == "\n"
 
@@ -46,17 +47,17 @@ class TestStep:
         cfg.apply_macro("define Args -r")
         cfg.apply_macro("define InputFile in.txt")
         cfg.apply_macro("define OutputFile out.txt")
-        assert cfg.fragment_payload(linker) == '"sort" -r < "in.txt" > "out.txt"'
+        assert cfg.fragment_payload() == '"sort" -r < "in.txt" > "out.txt"'
 
     def test_unset_pieces_are_omitted(self, linker):
         cfg = linker.find(linker.attach("Step", "A"))
         cfg.apply_macro("define Executable true")
-        assert cfg.fragment_payload(linker) == '"true"'
+        assert cfg.fragment_payload() == '"true"'
 
     def test_missing_executable_is_an_error(self, linker):
         cfg = linker.find(linker.attach("Step", "A"))
         with pytest.raises(RunjobError):
-            cfg.fragment_payload(linker)
+            cfg.fragment_payload()
 
     def test_adjacent_steps_agree_on_filename(self, linker):
         execute_script(linker, """
@@ -116,6 +117,18 @@ cfg HelloWorld named X define HelloMessage ::FileInput:English
         linker.run_framework("Reset")
         assert linker.find("HelloWorld named X").resolve_value("HelloMessage") == "Hello World"
 
+    def test_source_file_by_reference_is_loaded_on_reset(self, linker, tmp_path):
+        path = self.write_values(tmp_path, "English=Hello World\n")
+        execute_script(linker, f"""
+attach HelloWorldScriptGen
+cfg HelloWorldScriptGen define Values {path}
+attach FileInput
+cfg FileInput addreq HelloWorldScriptGen
+cfg FileInput define SourceFile ::HelloWorldScriptGen:Values
+""")
+        linker.run_framework("Reset")
+        assert linker.find("FileInput").resolve_value("English") == "Hello World"
+
     def test_value_keeps_everything_after_first_equals(self, tmp_path):
         path = self.write_values(tmp_path, "Args=a=b=c\n")
         assert read_key_values(path) == [("Args", "a=b=c")]
@@ -145,6 +158,23 @@ class TestFork:
         assert [r.returncode for r in report.results] == [0]
         assert report.stdout == "Hello World\n"
 
+    def test_script_gen_name_by_reference_is_resolved(self, linker):
+        linker.run_mode = "dry-run"
+        execute_script(linker, """
+attach HelloWorldScriptGen
+cfg HelloWorldScriptGen define Gen HelloWorldScriptGen
+attach HelloWorld named English
+cfg HelloWorldScriptGen register HelloWorld
+attach Fork
+cfg Fork addreq HelloWorldScriptGen
+cfg Fork define ScriptGenName ::HelloWorldScriptGen:Gen
+cfg Fork oncall RunJob do define ExecutableList ::construct
+""")
+        linker.run_framework("Reset", "MakeJob", "MakeScript", "RunJob")
+        report = linker.find("Fork").last_run_report
+        assert [Path(r.command).name for r in report.results] == [
+            "composite_HelloWorldScriptGen.sh"]
+
     def test_dry_run_spawns_nothing(self, linker):
         linker.run_mode = "dry-run"
         hello_world_linker(linker)
@@ -164,7 +194,7 @@ class TestFork:
 
     def test_empty_executable_list_is_success(self, linker):
         fork = linker.find(linker.attach("Fork"))
-        report = fork.run_jobs(linker, "foreground")
+        report = fork.run_jobs("foreground")
         assert report.results == []
 
     def test_spawn_failures_aggregate(self, linker, tmp_path):
@@ -172,7 +202,7 @@ class TestFork:
         missing = tmp_path / "not-a-script"
         fork.apply_macro(f"define ExecutableList {missing} {missing}2")
         with pytest.raises(SpawnFailure) as err:
-            fork.run_jobs(linker, "foreground")
+            fork.run_jobs("foreground")
         assert len(err.value.failures) == 2
 
     def test_children_get_job_id_environment(self, linker, tmp_path):
@@ -182,13 +212,13 @@ class TestFork:
         script.chmod(0o755)
         fork = linker.find(linker.attach("Fork"))
         fork.apply_macro(f"define ExecutableList {script}")
-        fork.run_jobs(linker, "foreground")
+        fork.run_jobs("foreground")
         assert out.read_text().strip() == "probe"
 
     def test_unknown_mode_rejected(self, linker):
         fork = linker.find(linker.attach("Fork"))
         with pytest.raises(RunjobError):
-            fork.run_jobs(linker, "teleport")
+            fork.run_jobs("teleport")
 
     def test_construct_rebuilds_list_each_run(self, linker):
         hello_world_linker(linker)

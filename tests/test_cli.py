@@ -253,6 +253,11 @@ def test_in_order_deep_reference_chain_resolves(tmp_path):
     assert fragments == ['"cat" < "root.in"'] * depth
 
 
+def test_repl_has_no_target_option(capsys):
+    assert run_cli("repl", "--target", "dag") == 2
+    assert "--target" in capsys.readouterr().err
+
+
 def test_repl_subcommand_reads_stdin(tmp_path):
     finished = subprocess.run(
         [sys.executable, "-m", "runjob", "repl", "--out", str(tmp_path)],

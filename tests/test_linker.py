@@ -218,6 +218,36 @@ class TestRepository:
         assert linker.remove_script_objects(producer=drop.producer) == 1
         assert linker.repository == [keep]
 
+    def test_object_id_is_held_for_one_producer_at_a_time(self, linker):
+        first = ConfiguratorDescription("Step", "x")
+        second = ConfiguratorDescription("Step", "y")
+        linker.new_script_object("job_x", "shell", "p", first)
+        linker.new_script_object("job_x", "shell", "p", first)  # same producer: allowed
+        with pytest.raises(DuplicateIdentifier, match="'job_x'"):
+            linker.new_script_object("job_x", "shell", "q", second)
+        assert [obj.producer for obj in linker.repository] == [first, first]
+        linker.remove_script_objects(producer=first)
+        assert linker.new_script_object("job_x", "shell", "q", second).producer == second
+
+
+class TestMaterialize:
+    def test_writes_executable_script_and_leaves_no_temp_file(self, linker):
+        obj = linker.new_script_object("job_x", "shell", "true\n",
+                                       ConfiguratorDescription("Step", "x"))
+        path = linker.materialize(obj)
+        assert path.read_text() == "true\n"
+        assert path.stat().st_mode & 0o777 == 0o755
+        assert [p.name for p in linker.output_dir.iterdir()] == ["job_x.sh"]
+
+    def test_failed_write_keeps_previous_artifact(self, linker):
+        producer = ConfiguratorDescription("Step", "x")
+        path = linker.materialize(linker.new_script_object("job_x", "shell", "old\n", producer))
+        unwritable = linker.new_script_object("job_x", "shell", "\ud800", producer)
+        with pytest.raises(UnicodeEncodeError):
+            linker.materialize(unwritable)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in linker.output_dir.iterdir()] == ["job_x.sh"]
+
 
 class TestDumpState:
     def test_empty_dump_is_comments_only(self, linker):

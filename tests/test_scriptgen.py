@@ -6,8 +6,9 @@ import subprocess
 import pytest
 
 from runjob import execute_script, make_linker
-from runjob.configurator import DependencyPattern
-from runjob.errors import CyclicWorkflow, UnknownType, VisibilityViolation
+from runjob.builtins import Step
+from runjob.configurator import ConfiguratorDescription, DependencyPattern
+from runjob.errors import CyclicWorkflow, DuplicateIdentifier, UnknownType, VisibilityViolation
 from runjob.scriptgen import ScriptObject, build_dag, compose_shell, fragment_id, shell_quote
 
 
@@ -30,14 +31,14 @@ class TestRegisterDelegator:
         hello_setup(linker)
         for name in ("English", "French", "German"):
             cfg = linker.find(f"HelloWorld named {name}")
-            assert cfg.delegations["MakeJob"].type_name == "HelloWorldScriptGen"
+            assert cfg.delegate.type_name == "HelloWorldScriptGen"
 
     def test_registration_applies_to_later_attaches(self, linker):
         linker.attach("HelloWorldScriptGen")
         linker.route("HelloWorldScriptGen", "register HelloWorld")
         identifier = linker.attach("HelloWorld", "Late")
         cfg = linker.find(identifier)
-        assert cfg.delegations["MakeJob"].type_name == "HelloWorldScriptGen"
+        assert cfg.delegate.type_name == "HelloWorldScriptGen"
         assert any(r.auto for r in cfg.requirements)
 
     def test_register_is_idempotent(self, linker):
@@ -51,6 +52,53 @@ class TestRegisterDelegator:
         linker.attach("HelloWorldScriptGen")
         with pytest.raises(UnknownType):
             linker.route("HelloWorldScriptGen", "register Nonesuch")
+
+
+class TestTwoScriptGensForOneType:
+    SCRIPT = """
+attach ScriptGen named One
+attach ScriptGen named Two
+attach Step named A
+cfg ScriptGen named One register Step
+cfg ScriptGen named Two register Step
+attach Step named B
+cfg Step named A define Executable true
+cfg Step named B define Executable false
+"""
+
+    def build(self, linker):
+        execute_script(linker, self.SCRIPT)
+        return linker.find("One"), linker.find("Two")
+
+    def test_last_registration_wins_the_delegate(self, linker):
+        _, two = self.build(linker)
+        for name in ("A", "B"):  # attached before and after the registrations
+            assert linker.find(name).delegate == two.description
+
+    def test_each_delegator_requires_both_scriptgens(self, linker):
+        self.build(linker)
+        for name in ("A", "B"):
+            auto = [r.pattern for r in linker.find(name).requirements if r.auto]
+            assert auto == [DependencyPattern("ScriptGen", "One"),
+                            DependencyPattern("ScriptGen", "Two")]
+
+    def test_each_fragment_belongs_to_exactly_one_scriptgen(self, linker):
+        one, two = self.build(linker)
+        linker.run_framework("Reset", "MakeJob")
+        fragments = linker.collect_script_objects(kind="fragment")
+        assert len(fragments) == 2
+        for fragment in fragments:
+            owners = [sg for sg in (one, two) if fragment in sg.fragments()]
+            assert owners == [two]
+
+    def test_dump_source_dump_is_a_fixed_point(self, linker):
+        self.build(linker)
+        dump = linker.dump_state()
+        assert dump.count(" register Step") == 2
+        replay = make_linker()
+        execute_script(replay, dump)
+        assert replay.dump_state() == dump
+        assert replay.find("A").delegate == replay.find("Two").description
 
 
 class TestDelegatedMakeJob:
@@ -129,6 +177,16 @@ class TestMakeComposite:
         sg.make_composite()
         composites = linker.collect_script_objects(kind="composite")
         assert len(composites) == 1
+
+    def test_remake_never_removes_another_producers_object(self, linker):
+        sg = hello_setup(linker)
+        other = ConfiguratorDescription("HelloWorld", "English")
+        foreign = ScriptObject("composite_HelloWorldScriptGen", "shell", "x", other, 0,
+                               kind="composite")
+        linker.add_script_object(foreign)
+        with pytest.raises(DuplicateIdentifier):
+            sg.make_composite()
+        assert linker.collect_script_objects(kind="composite") == [foreign]
 
 
 def chain_setup(linker):
@@ -224,6 +282,42 @@ cfg Step named B addreq Step named A
         dags = linker.collect_script_objects(target="dag", kind="composite")
         assert len(dags) == 1
         assert dags[0].payload.count("JOB ") == 3
+
+    def test_daggen_script_gen_name_by_reference_is_resolved(self, linker):
+        chain_setup(linker)
+        hello_setup(linker, names=("English",))
+        execute_script(linker, """
+attach DagGen
+cfg HelloWorldScriptGen define Gen HelloWorldScriptGen
+cfg DagGen addreq HelloWorldScriptGen
+cfg DagGen define ScriptGenName ::HelloWorldScriptGen:Gen
+""")
+        linker.run_framework("MakeJob", "MakeScript")
+        [dag] = linker.collect_script_objects(target="dag", kind="composite")
+        assert dag.payload == "JOB job_HelloWorld_English job_HelloWorld_English.sh\n"
+
+
+class TestSlugCollision:
+    """"Step named A_B" and "Step_A named B" both have the slug Step_A_B."""
+
+    SCRIPT = """
+attach ScriptGen
+cfg ScriptGen register Step
+cfg ScriptGen register Step_A
+attach Step named A_B
+attach Step_A named B
+cfg Step named A_B define Executable true
+cfg Step_A named B define Executable false
+"""
+
+    def test_second_producer_of_one_job_file_is_an_error(self, tmp_path):
+        linker = make_linker(types={"Step_A": Step}, output_dir=tmp_path)
+        execute_script(linker, self.SCRIPT)
+        with pytest.raises(DuplicateIdentifier, match="'job_Step_A_B'") as err:
+            linker.run_framework("Reset", "MakeJob", "MakeScript")
+        assert err.value.dispatch_context == ("MakeJob", "Step_A named B")
+        [fragment] = linker.collect_script_objects(kind="fragment")
+        assert fragment.producer == ConfiguratorDescription("Step", "A_B")
 
 
 def parse_dag(text):
