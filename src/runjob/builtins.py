@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .configurator import Configurator, ConfiguratorDescription
-from .errors import MalformedLine, RunjobError, SpawnFailure
+from .errors import InvalidKey, MalformedLine, RunjobError, SpawnFailure
 from .linker import Linker
+from .macro_lang import read_utf8
 from .scriptgen import DagGen, ScriptGen, shell_quote
+from .trigger_store import check_token
 
 RUN_MODES = ("foreground", "background", "dry-run")
 
@@ -92,7 +94,7 @@ def read_key_values(path: Path) -> list[tuple[str, str]]:
     if not path.exists():
         raise FileNotFoundError(f"no such metadata file: {path}")
     pairs = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path, MalformedLine).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -101,7 +103,10 @@ def read_key_values(path: Path) -> list[tuple[str, str]]:
         if not sep or not key:
             raise MalformedLine(f"expected key=value, got {raw!r}",
                                 filename=str(path), lineno=lineno)
-        pairs.append((key, value))
+        try:
+            pairs.append((check_token(key), value))
+        except InvalidKey as exc:
+            raise MalformedLine(exc.message, filename=str(path), lineno=lineno) from None
     return pairs
 
 
@@ -134,7 +139,7 @@ class Fork(Configurator):
         super().__init__(description)
         self.add_item("ScriptGenName")
         self.add_item("ExecutableList")
-        self.register_construct("ExecutableList", _collect_composite_paths)
+        self.register_construct("ExecutableList", self._collect_composite_paths)
         self.register_framework_handler("RunJob", self._handle_run_job)
         self.last_run_report: RunReport | None = None
 
@@ -143,6 +148,18 @@ class Fork(Configurator):
 
     def on_reset(self) -> None:
         self.last_run_report = None
+
+    def _collect_composite_paths(self) -> str:
+        """Construct for ExecutableList: materialize and list the named
+        scriptgen's composites, in emission order."""
+        name = self.resolve_value("ScriptGenName")
+        if not name:
+            return ""
+        scriptgen = self._linker.find(name)
+        composites = self._linker.collect_script_objects(
+            target=scriptgen.script_target, producer=scriptgen.description, kind="composite")
+        return " ".join(str(self._linker.materialize(obj.filename, obj.payload))
+                        for obj in composites)
 
     def run_jobs(self, mode: str = "foreground") -> RunReport:
         """Spawn every path in ExecutableList according to ``mode``."""
@@ -175,18 +192,6 @@ class Fork(Configurator):
             raise SpawnFailure(f"failed to spawn {len(failures)} job(s): {detail}",
                                failures=failures)
         return report
-
-
-def _collect_composite_paths(cfg: Fork, linker) -> str:
-    """Construct function for Fork.ExecutableList: materialize and list the
-    named scriptgen's composites, in sequence order."""
-    name = cfg.resolve_value("ScriptGenName")
-    if not name:
-        return ""
-    scriptgen = linker.find(name)
-    composites = linker.collect_script_objects(
-        target=scriptgen.script_target, producer=scriptgen.description, kind="composite")
-    return " ".join(str(linker.materialize(obj)) for obj in composites)
 
 
 def _child_environment(job_id: str) -> dict[str, str]:

@@ -15,7 +15,7 @@ from .builtins import RUN_MODES, make_linker
 from .errors import RunjobError
 from .linker import Linker
 from .macro_lang import MacroInterpreter, check_script, execute_file, tokenize
-from .scriptgen import ScriptObject, build_dag
+from .scriptgen import DAG_FILENAME, build_dag
 
 DEFAULT_FRAMEWORK = ("Reset", "MakeJob", "MakeScript", "RunJob")
 LENIENT_ENV_VAR = "RUNJOB_LENIENT_DEPS"
@@ -116,18 +116,15 @@ def run_script(args) -> int:
 
 def materialize_outputs(linker: Linker, target: str) -> list[Path]:
     """Write the selected artifacts into the linker's output directory."""
-    paths = []
-    if target == "dag":
-        fragments = linker.collect_script_objects(target="shell", kind="fragment")
-        for fragment in fragments:
-            paths.append(linker.materialize(fragment))
-        dags = linker.collect_script_objects(target="dag", kind="composite")
-        if not dags:  # no DagGen attached: wrap every shell fragment
-            dags = [ScriptObject("workflow", "dag", build_dag(linker, fragments), None, 0)]
-        paths.append(linker.materialize(dags[-1]))
-    else:
-        for composite in linker.collect_script_objects(target="shell", kind="composite"):
-            paths.append(linker.materialize(composite))
+    if target != "dag":
+        composites = linker.collect_script_objects(target="shell", kind="composite")
+        return [linker.materialize(obj.filename, obj.payload) for obj in composites]
+    fragments = linker.collect_script_objects(target="shell", kind="fragment")
+    paths = [linker.materialize(obj.filename, obj.payload) for obj in fragments]
+    dags = linker.collect_script_objects(target="dag", kind="composite")
+    # with no DagGen attached, wrap every shell fragment
+    dag = dags[-1].payload if dags else build_dag(linker, fragments)
+    paths.append(linker.materialize(DAG_FILENAME, dag))
     return paths
 
 

@@ -244,7 +244,7 @@ class Configurator:
         self._framework_handlers: dict[str, Callable] = {}
         self._macro_handlers: list[Callable] = [self._base_macro_handler]
         self._stored_commands: dict[str, list[str]] = {}
-        self._constructors: dict[str, Callable] = {}
+        self._constructors: dict[str, Callable[[], object]] = {}
         self._definitions: dict[str, _Definition] = {}
         self._linker = None
         self.register_framework_handler("Reset", self._handle_reset)
@@ -375,15 +375,9 @@ class Configurator:
         return resolve
 
     def _evaluate_expression(self, key: str, expression: ValueExpression) -> str:
-        if expression.kind == "literal":
-            return expression.text
         if expression.kind == "construct":
-            fn = self._constructors.get(key)
-            if fn is None:
-                raise NoConstructRegistered(
-                    f"{self.identifier}: no construct function registered for {key!r}")
             _volatile_read()
-            return str(fn(self, self._linker))
+            return str(self._constructors[key]())
         if expression.kind == "synonym":
             lookup = expression.synonym_key or key
             target = self._synonyms.get(lookup)
@@ -428,8 +422,9 @@ class Configurator:
         self._parse_base_macro(tokens)
         self._stored_commands.setdefault(message, []).append(" ".join(tokens))
 
-    def register_construct(self, key: str, fn: Callable) -> None:
-        """Attach a construct function (developer API, not reachable from macros)."""
+    def register_construct(self, key: str, fn: Callable[[], object]) -> None:
+        """Attach a zero-argument construct function for ``key`` (developer
+        API, not reachable from macros)."""
         self._constructors[check_token(key)] = fn
         advance_epoch()
 

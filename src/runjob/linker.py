@@ -1,10 +1,11 @@
 """The Linker: configurator container, communication bus, and framework driver.
 
-It owns the attach-ordered configurator list, the script-object repository,
-framework message groups, the strict/lenient dependency mode, and the
-declarative state dump.  All cross-namespace parameter lookup funnels
-through :meth:`Linker.lookup_parameter`, which is where visibility rules
-and reference-cycle detection live.
+It owns the attach-ordered configurator list, the script-object repository
+(one object per object id, in emission order), framework message groups,
+the strict/lenient dependency mode, and the declarative state dump.  All
+cross-namespace parameter lookup funnels through
+:meth:`Linker.lookup_parameter`, which is where visibility rules and
+reference-cycle detection live.
 """
 
 from __future__ import annotations
@@ -55,16 +56,14 @@ class Linker:
         # configurators by instance name, and attached count per type
         self._by_instance: defaultdict[str, list[Configurator]] = defaultdict(list)
         self._type_counts: Counter[str] = Counter()
-        self.repository: list[ScriptObject] = []
-        self._object_producers: dict[str, ConfiguratorDescription] = {}  # by object id
+        self.repository: dict[str, ScriptObject] = {}  # by object id, in emission order
         self.framework_groups: dict[str, list[str]] = {}
         self.dispatch_log: list[DispatchRecord] = []
         self._strict = bool(strict)
         self.output_dir = Path(output_dir)
         self.run_mode = run_mode
-        # (scriptgen, delegator type) in registration order
-        self._registrations: list[tuple[Configurator, str]] = []
-        self._next_sequence = 0
+        # (scriptgen, delegator type) in order of latest registration
+        self._registrations: dict[tuple[Configurator, str], None] = {}
         # (type, instance, key) frames in resolution order; values unused
         self._resolution_stack: dict[tuple[str, str, str], None] = {}
 
@@ -177,11 +176,12 @@ class Linker:
 
     def register_delegation(self, scriptgen: Configurator, delegator_type: str) -> None:
         """Make every configurator of ``delegator_type``, present and future,
-        delegate MakeJob to ``scriptgen``."""
+        delegate MakeJob to ``scriptgen``.  A repeated registration moves to
+        the end, so it wins for later attaches as it does for present ones."""
         if delegator_type not in self._types:
             raise UnknownType(f"unknown configurator type {delegator_type!r}")
-        if (scriptgen, delegator_type) not in self._registrations:
-            self._registrations.append((scriptgen, delegator_type))
+        self._registrations.pop((scriptgen, delegator_type), None)
+        self._registrations[(scriptgen, delegator_type)] = None
         for cfg in self._configurators.values():
             if cfg.description.type_name == delegator_type:
                 self._delegate(cfg, scriptgen)
@@ -273,61 +273,49 @@ class Linker:
 
     # script object repository
 
-    def new_script_object(self, object_id: str, target: str, payload: str,
-                          producer: ConfiguratorDescription,
-                          kind: str = "fragment") -> ScriptObject:
-        obj = ScriptObject(object_id, target, payload, producer, self._next_sequence, kind)
-        self.add_script_object(obj)
-        return obj
-
-    def add_script_object(self, obj: ScriptObject) -> None:
-        """Hold ``obj`` in the repository.  An object id names one artifact
-        file, so it may not be held for two producers at once."""
-        holder = self._object_producers.setdefault(obj.object_id, obj.producer)
-        if holder != obj.producer:
+    def add_script_object(self, obj: ScriptObject) -> ScriptObject:
+        """Hold ``obj`` in the repository and return it.  An object id names
+        one artifact file: re-adding it for the same producer replaces the
+        old object and moves it to the end; another producer's is an error."""
+        holder = self.repository.get(obj.object_id)
+        if holder is not None and holder.producer != obj.producer:
             raise DuplicateIdentifier(
-                f"{obj.producer.identifier} and {holder.identifier} "
+                f"{obj.producer.identifier} and {holder.producer.identifier} "
                 f"both produce {obj.object_id!r}")
-        self.repository.append(obj)
-        self._next_sequence = max(self._next_sequence, obj.sequence + 1)
+        self.repository.pop(obj.object_id, None)
+        self.repository[obj.object_id] = obj
+        return obj
 
     def collect_script_objects(self, target: str | None = None,
                                producer: ConfiguratorDescription | None = None,
                                kind: str | None = None) -> list[ScriptObject]:
-        matches = [obj for obj in self.repository
-                   if (target is None or obj.target == target)
-                   and (producer is None or obj.producer == producer)
-                   and (kind is None or obj.kind == kind)]
-        matches.sort(key=lambda obj: obj.sequence)
-        return matches
+        """Matching repository objects, in emission order."""
+        return [obj for obj in self.repository.values()
+                if (target is None or obj.target == target)
+                and (producer is None or obj.producer == producer)
+                and (kind is None or obj.kind == kind)]
 
-    def remove_script_objects(self, producer: ConfiguratorDescription | None = None,
-                              object_id: str | None = None) -> int:
-        keep = [obj for obj in self.repository
-                if not ((producer is None or obj.producer == producer)
-                        and (object_id is None or obj.object_id == object_id))]
-        removed = len(self.repository) - len(keep)
-        if removed:
-            self.repository = keep
-            self._object_producers = {obj.object_id: obj.producer for obj in keep}
-        return removed
+    def remove_script_objects(self, producer: ConfiguratorDescription) -> int:
+        stale = [object_id for object_id, obj in self.repository.items()
+                 if obj.producer == producer]
+        for object_id in stale:
+            del self.repository[object_id]
+        return len(stale)
 
-    def materialize(self, obj: ScriptObject) -> Path:
-        """Write a script object under the output directory and return the path.
+    def materialize(self, name: str, text: str) -> Path:
+        """Write ``text`` as file ``name`` under the output directory and
+        return its path.
 
-        Shell artifacts get the executable bit; DAG composites are written
-        as ``workflow.dag``.  The file is written beside its final name and
-        then renamed over it, so a reader never sees a partial artifact.
+        A ``.sh`` file gets the executable bit.  The file is written beside
+        its final name and then renamed over it, so a reader never sees a
+        partial artifact.
         """
         self.output_dir.mkdir(parents=True, exist_ok=True)
-        if obj.target == "dag":
-            path = self.output_dir / "workflow.dag"
-        else:
-            path = self.output_dir / f"{obj.object_id}.sh"
+        path = self.output_dir / name
         temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             with open(temp, "w", newline="\n") as handle:
-                handle.write(obj.payload)
+                handle.write(text)
             if path.suffix == ".sh":
                 temp.chmod(0o755)
             os.replace(temp, path)

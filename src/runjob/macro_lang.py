@@ -304,7 +304,7 @@ class MacroInterpreter:
             raise SourceCycle(f"{path} is already being sourced", filename=str(path))
         self._source_stack.append(path)
         try:
-            text = path.read_text()
+            text = read_utf8(path, ParseError)
             directives = parse_script(text, str(path))
             self.run_directives(directives, str(path))
         finally:
@@ -354,6 +354,17 @@ class MacroInterpreter:
         for value in range(start, stop + 1):
             expanded = substitute_block(loop.body, loop.var, str(value))
             self.run_directives(parse_block(expanded, filename), filename)
+
+
+def read_utf8(path: Path, error: type[RunjobError]) -> str:
+    """Read ``path`` as UTF-8; a byte that does not decode raises ``error``
+    at its file:line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"invalid UTF-8 byte {data[exc.start]:#04x}", filename=str(path),
+                    lineno=data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def execute_script(linker, text: str, filename: str | None = None) -> list[str]:

@@ -15,6 +15,7 @@ from .configurator import Configurator, ConfiguratorDescription
 from .errors import CyclicWorkflow, MacroParseError
 
 SHELL_HEADER = "#!/bin/sh"
+DAG_FILENAME = "workflow.dag"
 
 
 @dataclass(frozen=True)
@@ -24,9 +25,13 @@ class ScriptObject:
     object_id: str
     target: str  # execution environment, e.g. "shell" or "dag"
     payload: str
-    producer: ConfiguratorDescription | None  # None: not held in a repository
-    sequence: int
+    producer: ConfiguratorDescription
     kind: str = "fragment"  # or "composite"
+
+    @property
+    def filename(self) -> str:
+        """Name of the file the object materializes as."""
+        return DAG_FILENAME if self.target == "dag" else f"{self.object_id}.sh"
 
 
 def shell_quote(text: str) -> str:
@@ -82,10 +87,9 @@ class ScriptGen(Configurator):
 
     def delegated_make_job(self, delegator: Configurator) -> ScriptObject:
         """Emit one fragment for ``delegator`` into the linker repository."""
-        payload = delegator.fragment_payload()
-        return self._linker.new_script_object(
-            fragment_id(delegator.description), self.script_target, payload,
-            delegator.description, kind="fragment")
+        return self._linker.add_script_object(ScriptObject(
+            fragment_id(delegator.description), self.script_target,
+            delegator.fragment_payload(), delegator.description))
 
     def fragments(self) -> list[ScriptObject]:
         """Repository fragments whose producer currently delegates to us."""
@@ -95,17 +99,15 @@ class ScriptGen(Configurator):
                 if linker.find_by_description(obj.producer).delegate == self.description]
 
     def compose(self) -> str:
-        """Payload of our composite: our fragments, in sequence order, as one
+        """Payload of our composite: our fragments, in emission order, as one
         shell script."""
         return compose_shell(self.fragments())
 
     def make_composite(self) -> ScriptObject:
         """Replace our previous composite, if any, with a newly composed one."""
-        payload = self.compose()
-        object_id = f"{self.composite_prefix}_{self.description.slug}"
-        self._linker.remove_script_objects(producer=self.description, object_id=object_id)
-        return self._linker.new_script_object(
-            object_id, self.script_target, payload, self.description, kind="composite")
+        return self._linker.add_script_object(ScriptObject(
+            f"{self.composite_prefix}_{self.description.slug}", self.script_target,
+            self.compose(), self.description, kind="composite"))
 
 
 def requirement_edges(linker, producers) -> list[tuple[ConfiguratorDescription,

@@ -92,12 +92,14 @@ class TestFileInput:
         assert cfg.load() == 0
 
     def test_malformed_line_reports_lineno(self, linker, tmp_path):
-        path = self.write_values(tmp_path, "ok=1\nno-equals-sign\n")
         cfg = linker.find(linker.attach("FileInput"))
-        cfg.apply_macro(f"define SourceFile {path}")
-        with pytest.raises(MalformedLine) as err:
-            cfg.load()
-        assert err.value.lineno == 2
+        for text in (b"ok=1\nno-equals-sign\n", b"ok=1\nbad key=1\n", b"ok=1\n\xff=1\n"):
+            path = tmp_path / "values.txt"
+            path.write_bytes(text)
+            cfg.apply_macro(f"define SourceFile {path}")
+            with pytest.raises(MalformedLine) as err:
+                cfg.load()
+            assert (err.value.filename, err.value.lineno) == (str(path), 2)
 
     def test_missing_file(self, linker, tmp_path):
         cfg = linker.find(linker.attach("FileInput"))

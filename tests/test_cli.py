@@ -58,6 +58,29 @@ class TestRunCommand:
             dags.append((out / "workflow.dag").read_bytes())
         assert dags[0] == dags[1]
 
+    def test_rerun_job_generation_emits_each_job_once(self, fixtures, tmp_path, capsys):
+        script = str(fixtures / "rerun.mac")
+        out = tmp_path / "shell"
+        assert run_cli("run", script, "--no-framework", "--out", str(out)) == 0
+        composite = (out / "composite_ScriptGen.sh").read_text()
+        assert (composite.count('"echo" A'), composite.count('"echo" B')) == (1, 1)
+        capsys.readouterr()
+        out = tmp_path / "dag"
+        assert run_cli("run", script, "--no-framework", "--target", "dag",
+                       "--out", str(out)) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / name}" for name in ("job_Step_A.sh", "job_Step_B.sh", "workflow.dag")]
+
+    def test_non_utf8_script_is_a_clean_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mac"
+        bad.write_bytes(b"attach Step\n\xff\xfe\n")
+        main_script = tmp_path / "main.mac"
+        main_script.write_text("attach ScriptGen\nsource bad.mac\n")
+        for script in (bad, main_script):
+            for flags in ((), ("--check",)):
+                assert run_cli("run", str(script), "--out", str(tmp_path / "out"), *flags) == 1
+                assert capsys.readouterr().err == f"error: {bad}:2: invalid UTF-8 byte 0xff\n"
+
     def test_parse_error_exits_one_with_location(self, fixtures, tmp_path, capsys):
         assert run_cli("run", str(fixtures / "dangling.mac"), "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err

@@ -118,7 +118,7 @@ class TestDefine:
         cfg = bare()
         counter = [0]
 
-        def build(cfg_, linker):
+        def build():
             counter[0] += 1
             return f"result-{counter[0]}"
 
@@ -129,7 +129,7 @@ class TestDefine:
 
     def test_redefinition_replaces_old_trigger(self):
         cfg = bare()
-        cfg.register_construct("k", lambda c, l: "constructed")
+        cfg.register_construct("k", lambda: "constructed")
         cfg.define("k", ValueExpression.construct())
         assert cfg.store.read("k") == "constructed"
         cfg.define("k", ValueExpression.literal("plain"))
@@ -408,7 +408,7 @@ class TestResolveValue:
     @pytest.mark.parametrize("mutate", [
         lambda cfg: cfg.set_synonym("k", ("X", "k")),
         lambda cfg: cfg.add_requirement(DependencyPattern("Step")),
-        lambda cfg: cfg.register_construct("k", lambda cfg, linker: ""),
+        lambda cfg: cfg.register_construct("k", lambda: ""),
     ], ids=["set_synonym", "add_requirement", "register_construct"])
     def test_mutations_advance_the_epoch(self, mutate):
         cfg = bare()

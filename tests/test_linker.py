@@ -189,13 +189,13 @@ class TestLookupParameter:
 class TestRepository:
     def make_object(self, seq, target="shell", kind="fragment"):
         return ScriptObject(f"job_{seq}", target, f"payload {seq}",
-                            ConfiguratorDescription("Step", f"s{seq}"), seq, kind)
+                            ConfiguratorDescription("Step", f"s{seq}"), kind)
 
     def test_collect_in_sequence_order(self, linker):
-        for seq in (2, 0, 1):
+        for seq in (2, 0, 1, 2):  # the re-added job_2 moves to the end
             linker.add_script_object(self.make_object(seq))
         collected = linker.collect_script_objects(target="shell")
-        assert [obj.sequence for obj in collected] == [0, 1, 2]
+        assert [obj.object_id for obj in collected] == ["job_0", "job_1", "job_2"]
 
     def test_collect_on_empty_repository(self, linker):
         assert linker.collect_script_objects(target="shell") == []
@@ -204,47 +204,47 @@ class TestRepository:
         linker.add_script_object(self.make_object(0, target="shell"))
         assert linker.collect_script_objects(target="dag") == []
 
-    def test_new_objects_sequence_after_manual_adds(self, linker):
-        linker.add_script_object(self.make_object(7))
-        obj = linker.new_script_object("job_x", "shell", "p",
-                                       ConfiguratorDescription("Step", "x"))
-        assert obj.sequence == 8
-
     def test_remove_by_producer(self, linker):
         keep = self.make_object(0)
         drop = self.make_object(1)
         linker.add_script_object(keep)
         linker.add_script_object(drop)
         assert linker.remove_script_objects(producer=drop.producer) == 1
-        assert linker.repository == [keep]
+        assert list(linker.repository.values()) == [keep]
 
     def test_object_id_is_held_for_one_producer_at_a_time(self, linker):
         first = ConfiguratorDescription("Step", "x")
         second = ConfiguratorDescription("Step", "y")
-        linker.new_script_object("job_x", "shell", "p", first)
-        linker.new_script_object("job_x", "shell", "p", first)  # same producer: allowed
+        linker.add_script_object(ScriptObject("job_x", "shell", "p", first))
+        linker.add_script_object(ScriptObject("job_x", "shell", "p", first))  # replaces
         with pytest.raises(DuplicateIdentifier, match="'job_x'"):
-            linker.new_script_object("job_x", "shell", "q", second)
-        assert [obj.producer for obj in linker.repository] == [first, first]
+            linker.add_script_object(ScriptObject("job_x", "shell", "q", second))
+        assert [obj.producer for obj in linker.repository.values()] == [first]
         linker.remove_script_objects(producer=first)
-        assert linker.new_script_object("job_x", "shell", "q", second).producer == second
+        second_obj = linker.add_script_object(ScriptObject("job_x", "shell", "q", second))
+        assert second_obj.producer == second
+
+    def test_rejected_object_leaves_the_held_one_in_place(self, linker):
+        held, other = self.make_object(0), self.make_object(1)
+        linker.add_script_object(held)
+        linker.add_script_object(other)
+        clash = ScriptObject("job_0", "shell", "q", other.producer)
+        with pytest.raises(DuplicateIdentifier):
+            linker.add_script_object(clash)
+        assert list(linker.repository.values()) == [held, other]
 
 
 class TestMaterialize:
     def test_writes_executable_script_and_leaves_no_temp_file(self, linker):
-        obj = linker.new_script_object("job_x", "shell", "true\n",
-                                       ConfiguratorDescription("Step", "x"))
-        path = linker.materialize(obj)
+        path = linker.materialize("job_x.sh", "true\n")
         assert path.read_text() == "true\n"
         assert path.stat().st_mode & 0o777 == 0o755
         assert [p.name for p in linker.output_dir.iterdir()] == ["job_x.sh"]
 
     def test_failed_write_keeps_previous_artifact(self, linker):
-        producer = ConfiguratorDescription("Step", "x")
-        path = linker.materialize(linker.new_script_object("job_x", "shell", "old\n", producer))
-        unwritable = linker.new_script_object("job_x", "shell", "\ud800", producer)
+        path = linker.materialize("job_x.sh", "old\n")
         with pytest.raises(UnicodeEncodeError):
-            linker.materialize(unwritable)
+            linker.materialize("job_x.sh", "\ud800")
         assert path.read_text() == "old\n"
         assert [p.name for p in linker.output_dir.iterdir()] == ["job_x.sh"]
 

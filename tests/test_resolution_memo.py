@@ -42,7 +42,7 @@ class Probe(Configurator):
 
     def __init__(self, description: ConfiguratorDescription, world: dict):
         super().__init__(description)
-        self.register_construct("c", lambda cfg, linker: world["c"])
+        self.register_construct("c", lambda: world["c"])
         self.define("c", ValueExpression.construct())
 
 
@@ -292,7 +292,7 @@ class TestVolatileReads:
         head = self.chain(linker, ["A", "B", "C"])
         world = {"value": "one"}
         tail = linker.find("C")
-        tail.register_construct("InputFile", lambda cfg, linker: world["value"])
+        tail.register_construct("InputFile", lambda: world["value"])
         tail.apply_macro("define InputFile ::construct")
         assert head.resolve_value("InputFile") == "one"
         world["value"] = "two"  # changes no runjob state

@@ -61,44 +61,53 @@ attach ScriptGen named Two
 attach Step named A
 cfg ScriptGen named One register Step
 cfg ScriptGen named Two register Step
+{repeat}
 attach Step named B
 cfg Step named A define Executable true
 cfg Step named B define Executable false
 """
+    # (line after the two registrations, scriptgen that registered last)
+    SCRIPTS = [("", "Two"), ("cfg ScriptGen named One register Step", "One")]
 
-    def build(self, linker):
-        execute_script(linker, self.SCRIPT)
-        return linker.find("One"), linker.find("Two")
+    def cases(self):
+        """Per script: a linker that ran it, the winning and the losing scriptgen."""
+        for repeat, winner in self.SCRIPTS:
+            linker = make_linker()
+            execute_script(linker, self.SCRIPT.format(repeat=repeat))
+            loser = "One" if winner == "Two" else "Two"
+            yield linker, linker.find(winner), linker.find(loser)
 
-    def test_last_registration_wins_the_delegate(self, linker):
-        _, two = self.build(linker)
-        for name in ("A", "B"):  # attached before and after the registrations
-            assert linker.find(name).delegate == two.description
+    def test_last_registration_wins_the_delegate(self):
+        for linker, winner, _ in self.cases():
+            for name in ("A", "B"):  # attached before and after the registrations
+                assert linker.find(name).delegate == winner.description
 
-    def test_each_delegator_requires_both_scriptgens(self, linker):
-        self.build(linker)
-        for name in ("A", "B"):
-            auto = [r.pattern for r in linker.find(name).requirements if r.auto]
-            assert auto == [DependencyPattern("ScriptGen", "One"),
-                            DependencyPattern("ScriptGen", "Two")]
+    def test_each_delegator_requires_both_scriptgens(self):
+        for linker, _, _ in self.cases():
+            for name in ("A", "B"):
+                auto = [r.pattern for r in linker.find(name).requirements if r.auto]
+                assert sorted(auto, key=DependencyPattern.render) == [
+                    DependencyPattern("ScriptGen", "One"),
+                    DependencyPattern("ScriptGen", "Two")]
 
-    def test_each_fragment_belongs_to_exactly_one_scriptgen(self, linker):
-        one, two = self.build(linker)
-        linker.run_framework("Reset", "MakeJob")
-        fragments = linker.collect_script_objects(kind="fragment")
-        assert len(fragments) == 2
-        for fragment in fragments:
-            owners = [sg for sg in (one, two) if fragment in sg.fragments()]
-            assert owners == [two]
+    def test_each_fragment_belongs_to_exactly_one_scriptgen(self):
+        for linker, winner, loser in self.cases():
+            linker.run_framework("Reset", "MakeJob")
+            fragments = linker.collect_script_objects(kind="fragment")
+            assert len(fragments) == 2
+            for fragment in fragments:
+                owners = [sg for sg in (winner, loser) if fragment in sg.fragments()]
+                assert owners == [winner]
 
-    def test_dump_source_dump_is_a_fixed_point(self, linker):
-        self.build(linker)
-        dump = linker.dump_state()
-        assert dump.count(" register Step") == 2
-        replay = make_linker()
-        execute_script(replay, dump)
-        assert replay.dump_state() == dump
-        assert replay.find("A").delegate == replay.find("Two").description
+    def test_dump_source_dump_is_a_fixed_point(self):
+        for linker, winner, _ in self.cases():
+            dump = linker.dump_state()
+            assert dump.count(" register Step") == 2
+            replay = make_linker()
+            execute_script(replay, dump)
+            assert replay.dump_state() == dump
+            for name in ("A", "B"):
+                assert replay.find(name).delegate == winner.description
 
 
 class TestDelegatedMakeJob:
@@ -109,7 +118,7 @@ class TestDelegatedMakeJob:
         assert english.payload == 'echo "Hello World"'
         assert german.payload == 'echo "Hallo Welt"'
         assert english.producer.instance_name == "English"
-        assert german.sequence > english.sequence
+        assert list(linker.repository) == [english.object_id, german.object_id]
 
     def test_unresolvable_message_adds_nothing(self, linker):
         sg = hello_setup(linker)
@@ -148,7 +157,7 @@ class TestMakeComposite:
         linker.attach("HelloWorldScriptGen")
         sg = linker.find("HelloWorldScriptGen")
         composite = sg.make_composite()
-        path = linker.materialize(composite)
+        path = linker.materialize(composite.filename, composite.payload)
         finished = subprocess.run([str(path)], capture_output=True, text=True)
         assert finished.returncode == 0
         assert finished.stdout == ""
@@ -181,7 +190,7 @@ class TestMakeComposite:
     def test_remake_never_removes_another_producers_object(self, linker):
         sg = hello_setup(linker)
         other = ConfiguratorDescription("HelloWorld", "English")
-        foreign = ScriptObject("composite_HelloWorldScriptGen", "shell", "x", other, 0,
+        foreign = ScriptObject("composite_HelloWorldScriptGen", "shell", "x", other,
                                kind="composite")
         linker.add_script_object(foreign)
         with pytest.raises(DuplicateIdentifier):
@@ -419,7 +428,7 @@ def random_requirement_graph(rng, linker):
                 continue
             cfg.add_requirement(pattern)
     producers = [cfg.description for cfg in cfgs if rng.random() < 0.8]
-    fragments = [ScriptObject(fragment_id(p), "shell", "true", p, 0)
+    fragments = [ScriptObject(fragment_id(p), "shell", "true", p)
                  for p in producers for _ in range(rng.randint(1, 2))]
     rng.shuffle(fragments)
     return fragments
@@ -478,8 +487,8 @@ class TestLinearCounts:
         for steps in (100, 1000):
             linker = self.strict_chain(tmp_path, steps)
             fragments = [ScriptObject(fragment_id(cfg.description), "shell", "true",
-                                      cfg.description, i)
-                         for i, cfg in enumerate(linker.configurators[1:])]
+                                      cfg.description)
+                         for cfg in linker.configurators[1:]]
             calls[0] = 0
             text = build_dag(linker, fragments)
             assert text.count("PARENT") == steps - 1
