@@ -12,9 +12,9 @@ import sys
 from pathlib import Path
 
 from .builtins import RUN_MODES, make_linker
-from .errors import RunjobError
+from .errors import IncompleteInput, RunjobError
 from .linker import Linker
-from .macro_lang import MacroInterpreter, check_script, execute_file, tokenize
+from .macro_lang import MacroInterpreter, check_script, execute_file, parse_script
 from .scriptgen import DAG_FILENAME, build_dag
 
 DEFAULT_FRAMEWORK = ("Reset", "MakeJob", "MakeScript", "RunJob")
@@ -83,7 +83,7 @@ def main(argv=None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # e.g. stdout cannot encode the text
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -109,7 +109,7 @@ def run_script(args) -> int:
     if args.dump == "-":
         sys.stdout.write(linker.dump_state(resolve=args.resolve))
     elif args.dump is not None:
-        Path(args.dump).write_text(linker.dump_state(resolve=args.resolve))
+        Path(args.dump).write_text(linker.dump_state(resolve=args.resolve), encoding="utf-8")
         print(f"wrote {args.dump}")
     return 0
 
@@ -153,7 +153,8 @@ builtins:   dump        print the declarative state dump
 
 
 def repl(linker: Linker, input_stream=None, output=None) -> None:
-    """Line-oriented interactive session; errors are printed, not fatal."""
+    """Line-oriented interactive session; errors are printed, not fatal.
+    Lines are buffered while the parser finds them ``IncompleteInput``."""
     stream = input_stream if input_stream is not None else sys.stdin
     out = output if output is not None else sys.stdout
     interactive = input_stream is None and stream.isatty()
@@ -164,47 +165,36 @@ def repl(linker: Linker, input_stream=None, output=None) -> None:
             out.flush()
 
     buffer: list[str] = []
-    depth = 0
     prompt("runjob> ")
     for raw in stream:
-        line = raw.rstrip()
-        buffer.append(line)
-        if line.endswith("\\"):
-            prompt("... ")
-            continue
-        tokens_so_far = tokenize("\n".join(buffer))
-        last = tokens_so_far[-1] if tokens_so_far else None
-        if last and last.tokens:
-            if last.tokens[0] == "loop":
-                depth += 1
-            elif last.tokens[0] == "endloop":
-                depth -= 1
-        if depth > 0:
-            prompt("... ")
-            continue
+        buffer.append(raw.rstrip())
         text = "\n".join(buffer)
-        buffer = []
-        depth = 0
-        stripped = text.strip()
-        if stripped in ("quit", "exit"):
+        command = text.strip()
+        if command in ("quit", "exit"):
             break
-        if stripped == "help":
+        if command == "help":
             out.write(REPL_HELP)
-            prompt("runjob> ")
-            continue
-        if stripped == "dump":
+        elif command == "dump":
             out.write(linker.dump_state())
-            prompt("runjob> ")
-            continue
-        try:
-            records_before = len(linker.dispatch_log)
-            MacroInterpreter(linker).run_text(text)
-            for record in linker.dispatch_log[records_before:]:
-                out.write(f"{record.message} {record.description.identifier}: "
-                          f"{record.outcome}\n")
-            print_run_reports(linker, out)
-        except (RunjobError, OSError) as exc:
-            out.write(f"error: {exc}\n")
+        else:
+            try:
+                directives = parse_script(text)
+            except IncompleteInput:
+                prompt("... ")
+                continue
+            except RunjobError as exc:
+                out.write(f"error: {exc}\n")
+            else:
+                try:
+                    records_before = len(linker.dispatch_log)
+                    MacroInterpreter(linker).run_directives(directives, None)
+                    for record in linker.dispatch_log[records_before:]:
+                        out.write(f"{record.message} {record.description.identifier}: "
+                                  f"{record.outcome}\n")
+                    print_run_reports(linker, out)
+                except (RunjobError, OSError) as exc:
+                    out.write(f"error: {exc}\n")
+        buffer = []
         prompt("runjob> ")
     prompt("\n")
 

@@ -100,7 +100,12 @@ class ParseError(RunjobError):
     """A directive line could not be parsed."""
 
 
-class DanglingContinuation(ParseError):
+class IncompleteInput(ParseError):
+    """The text ends inside a construct: a loop without its endloop, or a
+    continuation backslash on the last line.  More input may complete it."""
+
+
+class DanglingContinuation(IncompleteInput):
     """The final physical line of a script ends with a continuation backslash."""
 
 

@@ -56,7 +56,7 @@ class Linker:
         # configurators by instance name, and attached count per type
         self._by_instance: defaultdict[str, list[Configurator]] = defaultdict(list)
         self._type_counts: Counter[str] = Counter()
-        self.repository: dict[str, ScriptObject] = {}  # by object id, in emission order
+        self.repository: dict[str, ScriptObject] = {}  # by file name, in emission order
         self.framework_groups: dict[str, list[str]] = {}
         self.dispatch_log: list[DispatchRecord] = []
         self._strict = bool(strict)
@@ -274,16 +274,17 @@ class Linker:
     # script object repository
 
     def add_script_object(self, obj: ScriptObject) -> ScriptObject:
-        """Hold ``obj`` in the repository and return it.  An object id names
-        one artifact file: re-adding it for the same producer replaces the
-        old object and moves it to the end; another producer's is an error."""
-        holder = self.repository.get(obj.object_id)
+        """Hold ``obj`` in the repository and return it.  The repository is
+        keyed by the file an object materializes as: re-adding a file for the
+        same producer replaces the old object and moves it to the end;
+        another producer's is an error."""
+        holder = self.repository.get(obj.filename)
         if holder is not None and holder.producer != obj.producer:
             raise DuplicateIdentifier(
                 f"{obj.producer.identifier} and {holder.producer.identifier} "
-                f"both produce {obj.object_id!r}")
-        self.repository.pop(obj.object_id, None)
-        self.repository[obj.object_id] = obj
+                f"both produce {obj.filename!r}")
+        self.repository.pop(obj.filename, None)
+        self.repository[obj.filename] = obj
         return obj
 
     def collect_script_objects(self, target: str | None = None,
@@ -296,10 +297,10 @@ class Linker:
                 and (kind is None or obj.kind == kind)]
 
     def remove_script_objects(self, producer: ConfiguratorDescription) -> int:
-        stale = [object_id for object_id, obj in self.repository.items()
+        stale = [filename for filename, obj in self.repository.items()
                  if obj.producer == producer]
-        for object_id in stale:
-            del self.repository[object_id]
+        for filename in stale:
+            del self.repository[filename]
         return len(stale)
 
     def materialize(self, name: str, text: str) -> Path:
@@ -314,7 +315,7 @@ class Linker:
         path = self.output_dir / name
         temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            with open(temp, "w", newline="\n") as handle:
+            with open(temp, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
             if path.suffix == ".sh":
                 temp.chmod(0o755)

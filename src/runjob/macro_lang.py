@@ -15,9 +15,12 @@ Grammar (line oriented, UTF-8, LF or CRLF):
 A trailing backslash joins the next physical line with a single space.
 Tokens are whitespace separated; identifiers follow the configurator
 module's grammar, where ``named`` is reserved in identifier position.
-Execution is line by line and fail-fast: the first error aborts with
-file:line context, leaving earlier directives applied.  Checking is the
-same interpreter run without a linker.
+A ``loop ... endloop`` block is parsed once into a ``Loop`` holding its
+body's directives; each iteration substitutes its integer value into
+copies of them.  Text that ends inside a loop or a continuation is
+``IncompleteInput``: the REPL then reads another line.  Execution is
+fail-fast: the first error aborts with file:line context, leaving earlier
+directives applied.  Checking is the same interpreter run without a linker.
 """
 
 from __future__ import annotations
@@ -26,7 +29,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .configurator import format_identifier, parse_identifier, split_identifier
-from .errors import DanglingContinuation, MacroParseError, ParseError, RunjobError, SourceCycle
+from .errors import (
+    DanglingContinuation,
+    IncompleteInput,
+    MacroParseError,
+    ParseError,
+    RunjobError,
+    SourceCycle,
+)
 
 LOOP_KEYWORD = "loop"
 ENDLOOP_KEYWORD = "endloop"
@@ -56,18 +66,13 @@ def tokenize(text: str, filename: str | None = None) -> list[LogicalLine]:
             pending_comment = False
         pending_comment = pending_comment or had_comment
         if stripped.endswith("\\"):
-            if index == len(physical):
-                raise DanglingContinuation(
-                    "line continuation at end of input",
-                    filename=filename, lineno=index)
             pending.append(stripped[:-1].rstrip())
             continue
         pending.append(stripped)
         joined = " ".join(part for part in pending if part)
         lines.append(LogicalLine(pending_lineno, joined.split(), pending_comment))
         pending = []
-    if pending:
-        # Trailing backslash on the very last physical line (no newline after).
+    if pending:  # the last physical line ends with a backslash
         raise DanglingContinuation("line continuation at end of input",
                                    filename=filename, lineno=len(physical))
     return lines
@@ -156,7 +161,7 @@ class Loop(Directive):
     var: str = ""
     start: str = "0"
     stop: str = "0"
-    body: list[LogicalLine] = field(default_factory=list)
+    body: list[Directive] = field(default_factory=list)
 
     def describe(self) -> str:
         return f"loop {self.var} {self.start} {self.stop} body={len(self.body)}"
@@ -192,9 +197,6 @@ def parse_directive(line: LogicalLine, filename: str | None = None) -> Directive
         if len(tokens) != 2:
             raise ParseError("usage: source <path>", filename=filename, lineno=line.lineno)
         return Source(line.lineno, tokens[1])
-    if head == LOOP_KEYWORD:
-        raise ParseError("loop requires a matching endloop",
-                         filename=filename, lineno=line.lineno)
     if head == ENDLOOP_KEYWORD:
         raise ParseError("endloop without a matching loop",
                          filename=filename, lineno=line.lineno)
@@ -220,33 +222,42 @@ def _loop_bound(bound: str, lineno: int, filename) -> int:
                          filename=filename, lineno=lineno) from None
 
 
+def _head(line: LogicalLine) -> str | None:
+    return line.tokens[0] if line.tokens else None
+
+
+def _matching_endloop(lines: list[LogicalLine], start: int, filename) -> int:
+    """Index of the endloop closing the loop at ``lines[start]``."""
+    depth = 0
+    for index in range(start, len(lines)):
+        head = _head(lines[index])
+        if head == LOOP_KEYWORD:
+            depth += 1
+        elif head == ENDLOOP_KEYWORD:
+            depth -= 1
+            if depth == 0:
+                return index
+    raise IncompleteInput("loop without a matching endloop",
+                          filename=filename, lineno=lines[start].lineno)
+
+
 def parse_block(lines: list[LogicalLine], filename: str | None = None) -> list[Directive]:
-    """Parse logical lines into directives, folding loop...endloop blocks."""
+    """Parse logical lines into directives, folding each loop...endloop into
+    a ``Loop`` whose body holds its parsed directives.
+
+    A loop's endloop is found before its header and body are checked, so an
+    unclosed loop is ``IncompleteInput`` whatever it contains.
+    """
     directives: list[Directive] = []
     index = 0
     while index < len(lines):
         line = lines[index]
-        if line.tokens and line.tokens[0] == LOOP_KEYWORD:
+        if _head(line) == LOOP_KEYWORD:
+            end = _matching_endloop(lines, index, filename)
             loop = _parse_loop_header(line, filename)
-            depth = 1
-            body: list[LogicalLine] = []
-            index += 1
-            while index < len(lines):
-                inner = lines[index]
-                if inner.tokens and inner.tokens[0] == LOOP_KEYWORD:
-                    depth += 1
-                elif inner.tokens and inner.tokens[0] == ENDLOOP_KEYWORD:
-                    depth -= 1
-                    if depth == 0:
-                        break
-                body.append(inner)
-                index += 1
-            if depth != 0:
-                raise ParseError("loop without a matching endloop",
-                                 filename=filename, lineno=loop.lineno)
-            loop.body = body
-            parse_block(body, filename)  # body must parse even before substitution
+            loop.body = parse_block(lines[index + 1:end], filename)
             directives.append(loop)
+            index = end
         else:
             directives.append(parse_directive(line, filename))
         index += 1
@@ -257,27 +268,30 @@ def parse_script(text: str, filename: str | None = None) -> list[Directive]:
     return parse_block(tokenize(text, filename), filename)
 
 
-def substitute_block(lines: list[LogicalLine], var: str, value: str) -> list[LogicalLine]:
-    """Textually replace $(var) in every token, honouring shadowing: a nested
-    loop re-binding the same variable keeps its body untouched (its header
-    bounds still see the outer value)."""
+def substitute_block(directives: list[Directive], var: str, value: str) -> list[Directive]:
+    """Copies of ``directives`` with ``$(var)`` replaced by ``value`` in every
+    string field.  A nested loop that re-binds ``var`` substitutes only its
+    own header: its bounds see the outer value, its body is shadowed.
+
+    Substituting into parsed directives gives what re-parsing the
+    substituted text would: loop values are integers, so a substituted token
+    never holds whitespace and never becomes ``named``, ``run``, ``group``,
+    ``loop`` or ``endloop``, the only tokens that steer the parser.
+    """
     marker = f"$({var})"
-    result: list[LogicalLine] = []
-    shadow_depth = 0
-    for line in lines:
-        head = line.tokens[0] if line.tokens else None
-        if shadow_depth > 0:
-            result.append(line)
-            if head == LOOP_KEYWORD:
-                shadow_depth += 1
-            elif head == ENDLOOP_KEYWORD:
-                shadow_depth -= 1
-            continue
-        tokens = [token.replace(marker, value) for token in line.tokens]
-        result.append(LogicalLine(line.lineno, tokens, line.comment))
-        if head == LOOP_KEYWORD and len(line.tokens) >= 2 and line.tokens[1] == var:
-            # header bounds belong to the outer scope; the body is shadowed
-            shadow_depth = 1
+    result = []
+    for directive in directives:
+        fields = {}
+        for name, current in vars(directive).items():
+            if isinstance(current, str):
+                current = current.replace(marker, value)
+            elif name == "body":
+                if directive.var != var:
+                    current = substitute_block(current, var, value)
+            elif isinstance(current, list):
+                current = [token.replace(marker, value) for token in current]
+            fields[name] = current
+        result.append(type(directive)(**fields))
     return result
 
 
@@ -290,26 +304,18 @@ class MacroInterpreter:
 
     def __init__(self, linker=None):
         self.linker = linker
-        self.log: list[str] = []
         self._source_stack: list[Path] = []
 
-    def run_text(self, text: str, filename: str | None = None) -> list[str]:
-        directives = parse_script(text, filename)
-        self.run_directives(directives, filename)
-        return self.log
-
-    def run_file(self, path) -> list[str]:
+    def run_file(self, path) -> None:
         path = Path(path).resolve()
         if path in self._source_stack:
             raise SourceCycle(f"{path} is already being sourced", filename=str(path))
         self._source_stack.append(path)
         try:
             text = read_utf8(path, ParseError)
-            directives = parse_script(text, str(path))
-            self.run_directives(directives, str(path))
+            self.run_directives(parse_script(text, str(path)), str(path))
         finally:
             self._source_stack.pop()
-        return self.log
 
     def run_directives(self, directives: list[Directive], filename: str | None) -> None:
         for directive in directives:
@@ -322,12 +328,11 @@ class MacroInterpreter:
                 raise
 
     def execute(self, directive: Directive, filename: str | None = None) -> None:
-        if isinstance(directive, Source):
-            self.run_file(self._resolve_source(directive.path, filename))
-            return  # run_file logs its own directives
-        if self.linker is None or isinstance(directive, (Blank, Comment)):
+        if isinstance(directive, Source):  # relative to the sourcing file
+            self.run_file(Path(filename or "").parent / directive.path)
+        elif self.linker is None:
             return
-        if isinstance(directive, Attach):
+        elif isinstance(directive, Attach):
             self.linker.attach(directive.type_name, directive.instance_name)
         elif isinstance(directive, Cfg):
             self.linker.route(directive.identifier, directive.macro)
@@ -337,23 +342,12 @@ class MacroInterpreter:
             self.linker.define_group(directive.name, directive.messages)
         elif isinstance(directive, Loop):
             self._execute_loop(directive, filename)
-            return
-        else:  # pragma: no cover - defensive
-            raise ParseError(f"cannot execute directive {directive!r}")
-        self.log.append(directive.describe())
-
-    def _resolve_source(self, target: str, filename: str | None) -> Path:
-        path = Path(target)
-        if not path.is_absolute() and filename:
-            path = Path(filename).parent / path
-        return path
 
     def _execute_loop(self, loop: Loop, filename: str | None) -> None:
         start, stop = (_loop_bound(bound, loop.lineno, filename)
                        for bound in (loop.start, loop.stop))
         for value in range(start, stop + 1):
-            expanded = substitute_block(loop.body, loop.var, str(value))
-            self.run_directives(parse_block(expanded, filename), filename)
+            self.run_directives(substitute_block(loop.body, loop.var, str(value)), filename)
 
 
 def read_utf8(path: Path, error: type[RunjobError]) -> str:
@@ -367,13 +361,13 @@ def read_utf8(path: Path, error: type[RunjobError]) -> str:
                     lineno=data.count(b"\n", 0, exc.start) + 1) from None
 
 
-def execute_script(linker, text: str, filename: str | None = None) -> list[str]:
-    """Run macro text against ``linker``; returns the executed-directive log."""
-    return MacroInterpreter(linker).run_text(text, filename)
+def execute_script(linker, text: str, filename: str | None = None) -> None:
+    """Run macro text against ``linker``."""
+    MacroInterpreter(linker).run_directives(parse_script(text, filename), filename)
 
 
-def execute_file(linker, path) -> list[str]:
-    return MacroInterpreter(linker).run_file(path)
+def execute_file(linker, path) -> None:
+    MacroInterpreter(linker).run_file(path)
 
 
 def check_script(path) -> None:

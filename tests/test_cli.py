@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 from runjob import make_linker
 from runjob.cli import main, repl
@@ -80,6 +81,53 @@ class TestRunCommand:
             for flags in ((), ("--check",)):
                 assert run_cli("run", str(script), "--out", str(tmp_path / "out"), *flags) == 1
                 assert capsys.readouterr().err == f"error: {bad}:2: invalid UTF-8 byte 0xff\n"
+
+    def test_two_daggens_cannot_share_the_dag_file(self, tmp_path, capsys):
+        script = tmp_path / "two_dags.mac"
+        script.write_text("attach ScriptGen\n"
+                          "attach Step named A\n"
+                          "cfg ScriptGen register Step\n"
+                          "cfg Step named A define Executable true\n"
+                          "attach DagGen named D1\n"
+                          "attach DagGen named D2\n"
+                          "attach Fork\n"
+                          "cfg Fork define ScriptGenName D1\n"
+                          "cfg Fork oncall RunJob do define ExecutableList ::construct\n")
+        assert run_cli("run", str(script), "--out", str(tmp_path / "out"),
+                       "--run-mode", "dry-run") == 1
+        err = capsys.readouterr().err
+        assert "both produce 'workflow.dag'" in err
+        assert err.endswith("(dispatching MakeScript to DagGen named D2)\n")
+
+    def test_artifacts_are_utf8_under_an_ascii_locale(self, tmp_path):
+        script = tmp_path / "e.mac"
+        script.write_text("attach HelloWorldScriptGen\n"
+                          "cfg HelloWorldScriptGen define English café\n"
+                          "attach HelloWorld named E\n"
+                          "cfg HelloWorldScriptGen register HelloWorld\n"
+                          "cfg HelloWorld named E define HelloMessage "
+                          "::HelloWorldScriptGen:English\n", encoding="utf-8")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def run(*flags):
+            return subprocess.run(
+                [sys.executable, "-X", "utf8=0", "-m", "runjob", "run", str(script),
+                 "--out", str(tmp_path / "out"), *flags],
+                capture_output=True, env=env, cwd=tmp_path)
+
+        finished = run()
+        assert finished.returncode == 0, finished.stderr
+        composite = tmp_path / "out" / "composite_HelloWorldScriptGen.sh"
+        assert 'echo "café"'.encode() in composite.read_bytes()
+        finished = run("--dump", str(tmp_path / "state.mac"))
+        assert finished.returncode == 0, finished.stderr
+        assert "define English café".encode() in (tmp_path / "state.mac").read_bytes()
+        finished = run("--dump", "-")  # stdout cannot encode the dump
+        assert finished.returncode == 1
+        assert finished.stderr.startswith(b"error: ")
+        assert b"Traceback" not in finished.stderr
 
     def test_parse_error_exits_one_with_location(self, fixtures, tmp_path, capsys):
         assert run_cli("run", str(fixtures / "dangling.mac"), "--out", str(tmp_path)) == 1
@@ -216,6 +264,26 @@ class TestRepl:
                                  "loop i 1 1\nattach Step named ok$(i)\nendloop\nquit\n")
         assert "error:" in out
         assert [c.identifier for c in linker.configurators] == ["Step named ok1"]
+
+    def test_comment_ending_in_backslash_does_not_continue(self, tmp_path):
+        # as in a script, a backslash inside a comment joins no lines
+        linker = make_linker(output_dir=tmp_path)
+        out = self.drive(linker, "attach Fork # note \\\ndump\nquit\n")
+        assert "error:" not in out
+        assert "attach Fork" in out
+
+    def test_sourced_unclosed_loop_is_an_error_not_a_prompt(self, tmp_path):
+        (tmp_path / "open.mac").write_text("loop i 1 2\nattach Step named s$(i)\n")
+        linker = make_linker(output_dir=tmp_path)
+        out = self.drive(linker, f"source {tmp_path / 'open.mac'}\nattach Fork\nquit\n")
+        assert f"error: {tmp_path / 'open.mac'}:1: loop without a matching endloop" in out
+        assert [c.identifier for c in linker.configurators] == ["Fork"]
+
+    def test_bad_loop_bound_is_reported_once_after_endloop(self, tmp_path):
+        linker = make_linker(output_dir=tmp_path)
+        out = self.drive(linker, "loop i one 2\nattach Step named s$(i)\nendloop\nquit\n")
+        assert out == "error: <input>:1: loop bound 'one' is not an integer\n"
+        assert linker.configurators == []
 
     def test_source_of_missing_file_is_printed_not_fatal(self, tmp_path):
         linker = make_linker(output_dir=tmp_path)

@@ -217,7 +217,7 @@ class TestRepository:
         second = ConfiguratorDescription("Step", "y")
         linker.add_script_object(ScriptObject("job_x", "shell", "p", first))
         linker.add_script_object(ScriptObject("job_x", "shell", "p", first))  # replaces
-        with pytest.raises(DuplicateIdentifier, match="'job_x'"):
+        with pytest.raises(DuplicateIdentifier, match="'job_x.sh'"):
             linker.add_script_object(ScriptObject("job_x", "shell", "q", second))
         assert [obj.producer for obj in linker.repository.values()] == [first]
         linker.remove_script_objects(producer=first)

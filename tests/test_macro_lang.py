@@ -1,10 +1,13 @@
 """Macro language: tokenizer, directive parsing, loops, sourcing, fail-fast."""
 
+import random
+
 import pytest
 
-from runjob import execute_script, parse_script, tokenize
+from runjob import execute_script, make_linker, macro_lang, parse_script, tokenize
 from runjob.errors import (
     DanglingContinuation,
+    IncompleteInput,
     ParseError,
     SourceCycle,
     UnknownConfigurator,
@@ -13,6 +16,9 @@ from runjob.macro_lang import (
     Attach,
     Cfg,
     FrameworkRun,
+    LogicalLine,
+    Loop,
+    MacroInterpreter,
     check_script,
     execute_file,
     parse_directive,
@@ -123,23 +129,166 @@ class TestLoops:
         names = [cfg.description.instance_name for cfg in linker.configurators]
         assert names == ["n1x1", "n1x2", "n2x1", "n2x2"]
 
-    def test_inner_loop_shadows_outer_variable(self, linker):
-        execute_script(linker, "loop i 1 1\n"
-                               "attach Step named outer$(i)\n"
-                               "loop i 7 8\n"
-                               "attach Step named inner$(i)\n"
-                               "endloop\n"
-                               "endloop\n")
-        names = [cfg.description.instance_name for cfg in linker.configurators]
-        assert names == ["outer1", "inner7", "inner8"]
+    def test_inner_loop_shadows_outer_variable(self, tmp_path):
+        # the inner header sees the outer value; the inner body sees its own
+        for inner_bounds, expected in (("7 8", ["outer2", "inner7", "inner8"]),
+                                       ("$(i) 3", ["outer2", "inner2", "inner3"])):
+            linker = make_linker(output_dir=tmp_path)
+            execute_script(linker, "loop i 2 2\n"
+                                   "attach Step named outer$(i)\n"
+                                   f"loop i {inner_bounds}\n"
+                                   "attach Step named inner$(i)\n"
+                                   "endloop\n"
+                                   "endloop\n")
+            names = [cfg.description.instance_name for cfg in linker.configurators]
+            assert names == expected, inner_bounds
 
     def test_unterminated_loop(self):
         with pytest.raises(ParseError):
             parse_script("loop i 1 2\nattach Fork\n")
 
+    def test_unclosed_loop_is_incomplete_input_at_outermost_loop(self):
+        # the outermost open loop is reported, whatever its header and body hold
+        for text in ("attach Fork\nloop i 1 2\nloop j 1 2\nendloop\n",
+                     "attach Fork\nloop i one 2\nmystery\n"):
+            with pytest.raises(IncompleteInput) as err:
+                parse_script(text, "open.mac")
+            assert str(err.value) == "open.mac:2: loop without a matching endloop"
+        assert issubclass(DanglingContinuation, IncompleteInput)
+
+    def test_loop_holds_its_parsed_body(self):
+        [loop] = parse_script("loop i 1 2\n"
+                              "attach Step named s$(i)\n"
+                              "loop j 1 2\n"
+                              "# comment\n"
+                              "endloop\n"
+                              "endloop\n")
+        assert isinstance(loop.body[0], Attach)
+        assert isinstance(loop.body[1], Loop)
+        assert loop.body[1].body[0].describe() == "comment"
+        assert loop.describe() == "loop i 1 2 body=2"  # the nested loop counts once
+
     def test_non_integer_bound(self):
         with pytest.raises(ParseError):
             parse_script("loop i one 2\nendloop\n")
+
+
+class RecordingLinker:
+    """Records the linker calls the interpreter makes."""
+
+    def __init__(self):
+        self.calls = []
+
+    def attach(self, type_name, instance_name=None):
+        self.calls.append(("attach", type_name, instance_name))
+
+    def route(self, identifier, macro):
+        self.calls.append(("route", identifier, list(macro)))
+
+    def run_framework(self, *messages):
+        self.calls.append(("run_framework", *messages))
+
+    def define_group(self, name, messages):
+        self.calls.append(("define_group", name, list(messages)))
+
+
+def reference_substitute(lines, var, value):
+    """Line-level substitution: a nested loop re-binding ``var`` keeps its
+    body lines untouched, while its header bounds see the outer value."""
+    marker = f"$({var})"
+    result = []
+    shadow_depth = 0
+    for line in lines:
+        head = line.tokens[0] if line.tokens else None
+        if shadow_depth > 0:
+            result.append(line)
+            shadow_depth += (head == "loop") - (head == "endloop")
+            continue
+        result.append(LogicalLine(line.lineno, [t.replace(marker, value) for t in line.tokens],
+                                  line.comment))
+        if head == "loop" and line.tokens[1] == var:
+            shadow_depth = 1
+    return result
+
+
+def reference_run(linker, lines):
+    """Runs logical lines the way the interpreter did before loop bodies were
+    parsed once: each iteration substitutes the body's lines and parses them
+    again."""
+    interpreter = MacroInterpreter(linker)
+    index = 0
+    while index < len(lines):
+        line = lines[index]
+        if line.tokens[:1] != ["loop"]:
+            interpreter.execute(parse_directive(line))
+            index += 1
+            continue
+        end, depth = index, 0
+        while True:
+            head = lines[end].tokens[:1]
+            depth += (head == ["loop"]) - (head == ["endloop"])
+            if depth == 0:
+                break
+            end += 1
+        _, var, start, stop = line.tokens
+        for value in range(int(start), int(stop) + 1):
+            reference_run(linker, reference_substitute(lines[index + 1:end], var, str(value)))
+        index = end + 1
+
+
+def random_loop_script(rng, depth=0, bound=()):
+    """A balanced script mixing nested and shadowing loops, ``$(var)`` in
+    bounds, identifiers and macros, blank and comment lines."""
+    def ref():
+        return f"$({rng.choice([*bound, 'zz'])})" if bound and rng.random() < 0.8 else "x"
+
+    lines = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.randrange(9)
+        if kind < 2 and depth < 3:
+            var = rng.choice(["i", "j", *bound])  # may shadow an enclosing variable
+            start = rng.choice(["0", "1", *(f"$({v})" for v in bound)])
+            lines.append(f"loop {var} {start} {rng.randint(0, 2)}")
+            lines += random_loop_script(rng, depth + 1, (*bound, var))
+            lines.append("endloop")
+        elif kind == 2:
+            lines.append(rng.choice(["", "# note $(i)", "   "]))
+        elif kind == 3:
+            lines.append(f"attach Step{ref()} named s{ref()}x{ref()}")
+        elif kind == 4:
+            lines.append(f"attach T{ref()}  # trailing comment")
+        elif kind == 5:
+            lines.append(f"cfg Step named s{ref()} define Key{ref()} \\\n  v{ref()} w")
+        elif kind == 6:
+            lines.append(f"cfg T{ref()} oncall M{ref()} do define K ::construct")
+        elif kind == 7:
+            lines.append(f"framework run Reset M{ref()}")
+        else:
+            lines.append(f"framework group g{ref()} A{ref()} B")
+    return lines
+
+
+class TestParseOnce:
+    def test_matches_reparsing_every_iteration(self):
+        for seed in range(300):
+            text = "\n".join(random_loop_script(random.Random(seed))) + "\n"
+            expected, actual = RecordingLinker(), RecordingLinker()
+            reference_run(expected, tokenize(text))
+            execute_script(actual, text)
+            assert actual.calls == expected.calls, f"seed {seed}:\n{text}"
+
+    def test_loop_body_is_parsed_once(self, monkeypatch):
+        calls = []
+        parse = macro_lang.parse_directive
+        monkeypatch.setattr(macro_lang, "parse_directive",
+                            lambda *args: calls.append(args) or parse(*args))
+        linker = RecordingLinker()
+        execute_script(linker, "loop i 1 1000\n"
+                               "attach Step named s$(i)\n"
+                               "cfg Step named s$(i) define Executable e$(i)\n"
+                               "endloop\n")
+        assert len(calls) == 2
+        assert len(linker.calls) == 2000
 
 
 class TestSource:

@@ -118,7 +118,7 @@ class TestDelegatedMakeJob:
         assert english.payload == 'echo "Hello World"'
         assert german.payload == 'echo "Hallo Welt"'
         assert english.producer.instance_name == "English"
-        assert list(linker.repository) == [english.object_id, german.object_id]
+        assert list(linker.repository) == [english.filename, german.filename]
 
     def test_unresolvable_message_adds_nothing(self, linker):
         sg = hello_setup(linker)
@@ -322,7 +322,7 @@ cfg Step_A named B define Executable false
     def test_second_producer_of_one_job_file_is_an_error(self, tmp_path):
         linker = make_linker(types={"Step_A": Step}, output_dir=tmp_path)
         execute_script(linker, self.SCRIPT)
-        with pytest.raises(DuplicateIdentifier, match="'job_Step_A_B'") as err:
+        with pytest.raises(DuplicateIdentifier, match="'job_Step_A_B.sh'") as err:
             linker.run_framework("Reset", "MakeJob", "MakeScript")
         assert err.value.dispatch_context == ("MakeJob", "Step_A named B")
         [fragment] = linker.collect_script_objects(kind="fragment")
