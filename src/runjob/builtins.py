@@ -9,8 +9,6 @@ that launches materialized composites as child processes.
 from __future__ import annotations
 
 import os
-import subprocess
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .configurator import Configurator, ConfiguratorDescription
@@ -110,19 +108,20 @@ def read_key_values(path: Path) -> list[tuple[str, str]]:
     return pairs
 
 
-@dataclass
 class RunResult:
-    command: str
-    pid: int | None = None
-    returncode: int | None = None
-    stdout: str = ""
-    process: object = field(default=None, repr=False, compare=False)
+    def __init__(self, command: str, pid: int | None = None, returncode: int | None = None,
+                 stdout: str = "", process: object = None):
+        self.command = command
+        self.pid = pid
+        self.returncode = returncode
+        self.stdout = stdout
+        self.process = process
 
 
-@dataclass
 class RunReport:
-    mode: str
-    results: list[RunResult] = field(default_factory=list)
+    def __init__(self, mode: str, results: list[RunResult] | None = None):
+        self.mode = mode
+        self.results = [] if results is None else results
 
     @property
     def stdout(self) -> str:
@@ -173,6 +172,7 @@ class Fork(Configurator):
             report.results.append(result)
             if mode == "dry-run":
                 continue
+            import subprocess  # here, so that planning and dry runs never load it
             env = _child_environment(Path(path).stem or str(index))
             executable = os.path.abspath(path)  # entries are paths, never PATH lookups
             try:
@@ -181,8 +181,8 @@ class Fork(Configurator):
                     result.pid = process.pid
                     result.process = process
                 else:
-                    completed = subprocess.run(
-                        [executable], env=env, capture_output=True, text=True)
+                    completed = subprocess.run([executable], env=env, capture_output=True,
+                                               encoding="utf-8", errors="replace")
                     result.returncode = completed.returncode
                     result.stdout = completed.stdout
             except OSError as exc:

@@ -154,7 +154,8 @@ builtins:   dump        print the declarative state dump
 
 def repl(linker: Linker, input_stream=None, output=None) -> None:
     """Line-oriented interactive session; errors are printed, not fatal.
-    Lines are buffered while the parser finds them ``IncompleteInput``."""
+    Lines are buffered while the parser finds them ``IncompleteInput``; an
+    entry still incomplete when input ends is reported as that error."""
     stream = input_stream if input_stream is not None else sys.stdin
     out = output if output is not None else sys.stdout
     interactive = input_stream is None and stream.isatty()
@@ -165,6 +166,7 @@ def repl(linker: Linker, input_stream=None, output=None) -> None:
             out.flush()
 
     buffer: list[str] = []
+    incomplete: IncompleteInput | None = None  # why the buffered entry is still open
     prompt("runjob> ")
     for raw in stream:
         buffer.append(raw.rstrip())
@@ -179,7 +181,8 @@ def repl(linker: Linker, input_stream=None, output=None) -> None:
         else:
             try:
                 directives = parse_script(text)
-            except IncompleteInput:
+            except IncompleteInput as exc:
+                incomplete = exc
                 prompt("... ")
                 continue
             except RunjobError as exc:
@@ -195,7 +198,10 @@ def repl(linker: Linker, input_stream=None, output=None) -> None:
                 except (RunjobError, OSError) as exc:
                     out.write(f"error: {exc}\n")
         buffer = []
+        incomplete = None
         prompt("runjob> ")
+    if incomplete is not None:
+        out.write(f"error: {incomplete}\n")
     prompt("\n")
 
 

@@ -14,9 +14,8 @@ This module also owns the configurator identifier grammar, "Type" or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     KeyNotFound,
@@ -76,8 +75,8 @@ def format_identifier(type_name: str, instance_name: str | None) -> str:
     return f"{type_name} named {instance_name}"
 
 
-@dataclass(frozen=True)
-class ConfiguratorDescription:
+class ConfiguratorDescription(NamedTuple("ConfiguratorDescription",
+                                         [("type_name", str), ("instance_name", str)])):
     """Identity of a configurator: type and instance name.
 
     The instance name defaults to the type name; the rendered identifier is
@@ -85,15 +84,15 @@ class ConfiguratorDescription:
     "HelloWorld named English" form.
     """
 
-    type_name: str
-    instance_name: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_token(self.type_name, "type name")
-        if self.instance_name is None:
-            object.__setattr__(self, "instance_name", self.type_name)
+    def __new__(cls, type_name: str, instance_name: str | None = None):
+        check_token(type_name, "type name")
+        if instance_name is None:
+            instance_name = type_name
         else:
-            check_token(self.instance_name, "instance name")
+            check_token(instance_name, "instance name")
+        return super().__new__(cls, type_name, instance_name)
 
     @property
     def identifier(self) -> str:
@@ -109,8 +108,7 @@ class ConfiguratorDescription:
         return f"{self.type_name}_{self.instance_name}"
 
 
-@dataclass(frozen=True)
-class DependencyPattern:
+class DependencyPattern(NamedTuple):
     """Requirement pattern matched against attached configurator descriptions.
 
     An ``instance_name`` of None matches any instance, so "addreq Step" is
@@ -136,14 +134,12 @@ class DependencyPattern:
         return cls(type_name, instance)
 
 
-@dataclass(frozen=True)
-class Requirement:
+class Requirement(NamedTuple):
     pattern: DependencyPattern
     auto: bool = False  # implied by a scriptgen registration; not dumped
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """Result of dispatching one framework message to one configurator."""
 
     kind: str  # "Handled" | "Delegated" | "Skipped"
@@ -159,8 +155,7 @@ HANDLED = Outcome("Handled")
 SKIPPED = Outcome("Skipped")
 
 
-@dataclass(frozen=True)
-class ValueExpression:
+class ValueExpression(NamedTuple):
     """Right-hand side of a define: literal text, a cross-namespace reference,
     a synonym-table lookup, or a registered construct function."""
 
@@ -217,11 +212,14 @@ def parse_expression(tokens: Sequence[str]) -> ValueExpression:
     return ValueExpression.literal(" ".join(tokens))
 
 
-@dataclass(slots=True)
 class _Definition:
-    expression: ValueExpression
-    trigger_id: int | None = None  # installed read trigger for the lazy kinds
-    resolved_at: int | None = None  # epoch at which the stored value was resolved
+    __slots__ = ("expression", "trigger_id", "resolved_at")
+
+    def __init__(self, expression: ValueExpression, trigger_id: int | None = None,
+                 resolved_at: int | None = None):
+        self.expression = expression
+        self.trigger_id = trigger_id  # installed read trigger for the lazy kinds
+        self.resolved_at = resolved_at  # epoch at which the stored value was resolved
 
 
 class Configurator:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import os
 from collections import Counter, defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .configurator import (
     Configurator,
@@ -41,8 +41,7 @@ from .trigger_store import advance_epoch
 DEFAULT_RUN_MODE = "foreground"
 
 
-@dataclass(frozen=True)
-class DispatchRecord:
+class DispatchRecord(NamedTuple):
     message: str
     description: ConfiguratorDescription
     outcome: Outcome

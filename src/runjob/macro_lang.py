@@ -25,7 +25,6 @@ directives applied.  Checking is the same interpreter run without a linker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .configurator import format_identifier, parse_identifier, split_identifier
@@ -42,13 +41,13 @@ LOOP_KEYWORD = "loop"
 ENDLOOP_KEYWORD = "endloop"
 
 
-@dataclass
 class LogicalLine:
     """One comment-stripped, continuation-joined line of macro text."""
 
-    lineno: int  # physical line the logical line starts on
-    tokens: list[str]
-    comment: bool = False  # True when the raw text carried a '#' comment
+    def __init__(self, lineno: int, tokens: list[str], comment: bool = False):
+        self.lineno = lineno  # physical line the logical line starts on
+        self.tokens = tokens
+        self.comment = comment  # True when the raw text carried a '#' comment
 
 
 def tokenize(text: str, filename: str | None = None) -> list[LogicalLine]:
@@ -87,81 +86,91 @@ def _strip_comment(raw: str) -> tuple[str, bool]:
 
 # directives
 
-@dataclass
 class Directive:
-    lineno: int = 0
+    """One parsed directive; its attributes are its constructor's arguments,
+    which ``substitute_block`` relies on to copy it."""
+
+    def __init__(self, lineno: int = 0):
+        self.lineno = lineno
 
     def describe(self) -> str:
         raise NotImplementedError
 
 
-@dataclass
 class Blank(Directive):
     def describe(self) -> str:
         return "blank"
 
 
-@dataclass
 class Comment(Directive):
     def describe(self) -> str:
         return "comment"
 
 
-@dataclass
 class _Identified(Directive):
-    type_name: str = ""
-    instance_name: str | None = None
+    def __init__(self, lineno: int = 0, type_name: str = "", instance_name: str | None = None):
+        self.lineno = lineno
+        self.type_name = type_name
+        self.instance_name = instance_name
 
     @property
     def identifier(self) -> str:
         return format_identifier(self.type_name, self.instance_name)
 
 
-@dataclass
 class Attach(_Identified):
     def describe(self) -> str:
         return f"attach {self.identifier}"
 
 
-@dataclass
 class Cfg(_Identified):
-    macro: list[str] = field(default_factory=list)
+    def __init__(self, lineno: int = 0, type_name: str = "", instance_name: str | None = None,
+                 macro: list[str] | None = None):
+        self.lineno = lineno
+        self.type_name = type_name
+        self.instance_name = instance_name
+        self.macro = [] if macro is None else macro
 
     def describe(self) -> str:
         return f"cfg {self.identifier} :: {' '.join(self.macro)}"
 
 
-@dataclass
 class FrameworkRun(Directive):
-    messages: list[str] = field(default_factory=list)
+    def __init__(self, lineno: int = 0, messages: list[str] | None = None):
+        self.lineno = lineno
+        self.messages = [] if messages is None else messages
 
     def describe(self) -> str:
         return "framework run " + " ".join(self.messages)
 
 
-@dataclass
 class FrameworkGroup(Directive):
-    name: str = ""
-    messages: list[str] = field(default_factory=list)
+    def __init__(self, lineno: int = 0, name: str = "", messages: list[str] | None = None):
+        self.lineno = lineno
+        self.name = name
+        self.messages = [] if messages is None else messages
 
     def describe(self) -> str:
         return f"framework group {self.name} " + " ".join(self.messages)
 
 
-@dataclass
 class Source(Directive):
-    path: str = ""
+    def __init__(self, lineno: int = 0, path: str = ""):
+        self.lineno = lineno
+        self.path = path
 
     def describe(self) -> str:
         return f"source {self.path}"
 
 
-@dataclass
 class Loop(Directive):
-    var: str = ""
-    start: str = "0"
-    stop: str = "0"
-    body: list[Directive] = field(default_factory=list)
+    def __init__(self, lineno: int = 0, var: str = "", start: str = "0", stop: str = "0",
+                 body: list[Directive] | None = None):
+        self.lineno = lineno
+        self.var = var
+        self.start = start
+        self.stop = stop
+        self.body = [] if body is None else body
 
     def describe(self) -> str:
         return f"loop {self.var} {self.start} {self.stop} body={len(self.body)}"

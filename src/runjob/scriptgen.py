@@ -9,7 +9,7 @@ or wraps them into a DAG description via DagGen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .configurator import Configurator, ConfiguratorDescription
 from .errors import CyclicWorkflow, MacroParseError
@@ -18,8 +18,7 @@ SHELL_HEADER = "#!/bin/sh"
 DAG_FILENAME = "workflow.dag"
 
 
-@dataclass(frozen=True)
-class ScriptObject:
+class ScriptObject(NamedTuple):
     """One generated code artifact held in the linker repository."""
 
     object_id: str

@@ -19,8 +19,7 @@ resolvers compare against to tell whether a value they resolved is stale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, MutableMapping
+from typing import Callable, Iterator, MutableMapping, NamedTuple
 
 from .errors import (
     BackendContractViolation,
@@ -49,19 +48,18 @@ def advance_epoch() -> None:
     _epoch += 1
 
 
-@dataclass(frozen=True)
-class TriggerKind:
+class TriggerKind(NamedTuple("TriggerKind", [("mode", str), ("key", str | None)])):
     """One of the four trigger kinds: mode is "read" or "write", key is None
     for the global kinds and the guarded key for the indexed kinds."""
 
-    mode: str
-    key: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in (_READ, _WRITE):
-            raise ValueError(f"trigger mode must be 'read' or 'write', got {self.mode!r}")
-        if self.key is not None:
-            check_token(self.key)
+    def __new__(cls, mode: str, key: str | None = None):
+        if mode not in (_READ, _WRITE):
+            raise ValueError(f"trigger mode must be 'read' or 'write', got {mode!r}")
+        if key is not None:
+            check_token(key)
+        return super().__new__(cls, mode, key)
 
 
 GLOBAL_READ = TriggerKind(_READ)
@@ -76,8 +74,7 @@ def indexed_write(key: str) -> TriggerKind:
     return TriggerKind(_WRITE, key)
 
 
-@dataclass(frozen=True)
-class TriggerHandler:
+class TriggerHandler(NamedTuple):
     """A registered callback plus the extra values fixed at registration time.
 
     The callback receives a single list argument: element 0 is the store,
@@ -87,7 +84,7 @@ class TriggerHandler:
     handler_id: int
     kind: TriggerKind
     callback: Callable[[list], object]
-    extras: tuple = field(default_factory=tuple)
+    extras: tuple = ()
 
     def fire(self, store: "TriggerStore", key: str) -> None:
         self.callback([store, key, *self.extras])

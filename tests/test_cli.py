@@ -6,12 +6,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from runjob import make_linker
 from runjob.cli import main, repl
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+def run_under_ascii_locale(script, out, *flags, **env):
+    """``python -m runjob run`` in a child interpreter whose locale encoding
+    is ASCII (the C locale, not coerced, UTF-8 mode off)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               **env)
+    return subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "runjob", "run", str(script),
+         "--out", str(out), *flags],
+        capture_output=True, env=env, cwd=script.parent)
 
 
 class TestRunCommand:
@@ -107,15 +122,9 @@ class TestRunCommand:
                           "cfg HelloWorldScriptGen register HelloWorld\n"
                           "cfg HelloWorld named E define HelloMessage "
                           "::HelloWorldScriptGen:English\n", encoding="utf-8")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
         def run(*flags):
-            return subprocess.run(
-                [sys.executable, "-X", "utf8=0", "-m", "runjob", "run", str(script),
-                 "--out", str(tmp_path / "out"), *flags],
-                capture_output=True, env=env, cwd=tmp_path)
+            return run_under_ascii_locale(script, tmp_path / "out", *flags)
 
         finished = run()
         assert finished.returncode == 0, finished.stderr
@@ -128,6 +137,28 @@ class TestRunCommand:
         assert finished.returncode == 1
         assert finished.stderr.startswith(b"error: ")
         assert b"Traceback" not in finished.stderr
+
+    def test_foreground_job_output_is_decoded_as_utf8_under_an_ascii_locale(self, tmp_path):
+        # the job prints UTF-8 text and a byte that is not UTF-8; the locale's
+        # ASCII encoding must not be used to read either back
+        script = tmp_path / "f.mac"
+        script.write_text("attach HelloWorldScriptGen\n"
+                          "attach HelloWorld named E\n"
+                          "attach Step named Raw\n"
+                          "cfg HelloWorldScriptGen register HelloWorld\n"
+                          "cfg HelloWorldScriptGen register Step\n"
+                          "cfg HelloWorld named E define HelloMessage café\n"
+                          "cfg Step named Raw define Executable printf\n"
+                          "cfg Step named Raw define Args '\\377'\n"
+                          "attach Fork\n"
+                          "cfg Fork define ScriptGenName HelloWorldScriptGen\n"
+                          "cfg Fork define ExecutableList ::construct\n", encoding="utf-8")
+        # stdout itself is UTF-8, so the run can print what the job printed
+        finished = run_under_ascii_locale(script, tmp_path / "out", "--run-mode", "foreground",
+                                          PYTHONIOENCODING="utf-8")
+        assert b"Traceback" not in finished.stderr
+        assert finished.returncode == 0, finished.stderr
+        assert finished.stdout.endswith("café\n\ufffd".encode())
 
     def test_parse_error_exits_one_with_location(self, fixtures, tmp_path, capsys):
         assert run_cli("run", str(fixtures / "dangling.mac"), "--out", str(tmp_path)) == 1
@@ -285,6 +316,16 @@ class TestRepl:
         assert out == "error: <input>:1: loop bound 'one' is not an integer\n"
         assert linker.configurators == []
 
+    @pytest.mark.parametrize("text, error", [
+        ("loop i 1 2\nattach Step named s$(i)\n", "loop without a matching endloop"),
+        ("attach Fork \\\n", "line continuation at end of input"),
+    ])
+    def test_entry_open_at_end_of_input_is_reported(self, tmp_path, text, error):
+        linker = make_linker(output_dir=tmp_path)
+        out = self.drive(linker, "attach HelloWorld\n" + text)
+        assert out == f"error: <input>:1: {error}\n"
+        assert [c.identifier for c in linker.configurators] == ["HelloWorld"]
+
     def test_source_of_missing_file_is_printed_not_fatal(self, tmp_path):
         linker = make_linker(output_dir=tmp_path)
         out = self.drive(linker, "source nope.mac\nattach Fork\ndump\nquit\n")
@@ -300,6 +341,24 @@ def test_module_entry_point(fixtures, tmp_path):
         capture_output=True, text=True)
     assert finished.returncode == 0
     assert (out / "composite_HelloWorldScriptGen.sh").exists()
+
+
+def test_planning_loads_no_dataclasses_inspect_or_subprocess(fixtures, tmp_path):
+    # pytest and Hypothesis have loaded all three here, so ask a fresh
+    # interpreter; -S keeps site hooks from loading them on its behalf
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = ["run", str(fixtures / "helloworld.mac"), "--run-mode", "dry-run",
+            "--out", str(tmp_path)]
+    code = ("import sys\n"
+            "import runjob.cli\n"
+            "runjob.make_linker()\n"
+            f"code = runjob.cli.main({argv!r})\n"
+            "print(code, sorted({'dataclasses', 'inspect', 'subprocess'} & set(sys.modules)))\n")
+    finished = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert finished.returncode == 0, finished.stderr
+    assert finished.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "composite_HelloWorldScriptGen.sh").exists()
 
 
 def run_reference_chain(tmp_path, depth, attach_order):
