@@ -5,8 +5,9 @@ declared dependencies on other configurators, framework-message handlers,
 and a chain of macro handlers ending in the base parser (additem, define,
 addreq, synonym, oncall).  Attached to a linker it becomes a namespace and
 is bound to that linker; values defined as references resolve lazily
-through it.  A read re-walks a reference chain only after something that
-can change its value has changed; constructs run on every read.
+through it.  ``resolve_value`` re-walks a reference chain only after
+something that can change its value has changed; constructs run on every
+read.
 
 This module also owns the configurator identifier grammar, "Type" or
 "Type named Name" with ``named`` reserved in identifier position.
@@ -18,24 +19,23 @@ from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
+    CircularReference,
     KeyNotFound,
     MacroParseError,
     NoConstructRegistered,
+    RecursionLimitExceeded,
     RunjobError,
     UnknownMacro,
 )
-from .trigger_store import (
-    TriggerStore,
-    advance_epoch,
-    check_token,
-    current_epoch,
-    indexed_read,
-)
+from .trigger_store import TriggerStore, advance_epoch, check_token, current_epoch
 
 # Counts reads whose value can change with no mutation: a construct run, or a
-# store read that fires handlers besides the key's own resolver.  A resolver
-# keeps its value only from a walk that left this count where it found it.
+# store read that fires user read handlers.  A definition keeps its value
+# only from a walk that left this count where it found it.
 _volatile_reads = 0
+
+# (configurator, key) pairs being resolved, outermost first; values unused
+_resolving: dict = {}
 
 
 def _volatile_read() -> None:
@@ -213,13 +213,11 @@ def parse_expression(tokens: Sequence[str]) -> ValueExpression:
 
 
 class _Definition:
-    __slots__ = ("expression", "trigger_id", "resolved_at")
+    __slots__ = ("expression", "resolved_at")
 
-    def __init__(self, expression: ValueExpression, trigger_id: int | None = None,
-                 resolved_at: int | None = None):
-        self.expression = expression
-        self.trigger_id = trigger_id  # installed read trigger for the lazy kinds
-        self.resolved_at = resolved_at  # epoch at which the stored value was resolved
+    def __init__(self, expression: ValueExpression):
+        self.expression = expression  # a reference, synonym or construct
+        self.resolved_at: int | None = None  # epoch at which the stored value was resolved
 
 
 class Configurator:
@@ -243,7 +241,7 @@ class Configurator:
         self._macro_handlers: list[Callable] = [self._base_macro_handler]
         self._stored_commands: dict[str, list[str]] = {}
         self._constructors: dict[str, Callable[[], object]] = {}
-        self._definitions: dict[str, _Definition] = {}
+        self._definitions: dict[str, _Definition] = {}  # lazy definitions only
         self._linker = None
         self.register_framework_handler("Reset", self._handle_reset)
         for pattern in self.STATIC_REQUIREMENTS:
@@ -333,44 +331,25 @@ class Configurator:
             self.store.untriggered_write(key, "")
 
     def define(self, key: str, expression: ValueExpression) -> None:
-        """Set ``key`` to a literal or install a lazy resolution trigger.
+        """Write a literal to ``key``, or record a lazy definition for it.
 
-        References, synonym lookups and constructs are installed as indexed
-        read triggers.  A read re-resolves through the linker only if the
-        epoch moved since the stored value was resolved, so changes upstream
-        are always visible; a construct runs on every read.
+        A reference, synonym lookup or construct is evaluated by
+        :meth:`resolve_value`, not by the store: a plain store read returns
+        the value last resolved.  A rejected definition leaves the key's
+        previous one in place.
         """
         check_token(key)
-        old = self._definitions.pop(key, None)
-        if old is not None and old.trigger_id is not None:
-            self.store.deregister_trigger(old.trigger_id)
-        if expression.kind == "literal":
-            self._definitions[key] = _Definition(expression)
-            self.store.write(key, expression.text)
-            return
         if expression.kind == "construct" and key not in self._constructors:
             raise NoConstructRegistered(
                 f"{self.identifier}: no construct function registered for {key!r}")
+        self._definitions.pop(key, None)
+        if expression.kind == "literal":
+            self.store.write(key, expression.text)
+            return
         if key not in self.store:
             self.store.untriggered_write(key, "")
-        definition = _Definition(expression)
-        definition.trigger_id = self.store.register_trigger(
-            indexed_read(key), self._make_resolver(key, definition))
-        self._definitions[key] = definition
-
-    def _make_resolver(self, key: str, definition: _Definition):
-        def resolve(args):
-            epoch = current_epoch()
-            if definition.resolved_at == epoch:
-                return  # the store still holds the value resolved at this epoch
-            volatile = _volatile_reads
-            value = self._evaluate_expression(key, definition.expression)
-            self.store.write_resolved(key, value)
-            if _volatile_reads == volatile:
-                # the epoch from before the walk: a change during it leaves
-                # this stamp stale at once
-                definition.resolved_at = epoch
-        return resolve
+        self._definitions[key] = _Definition(expression)
+        advance_epoch()
 
     def _evaluate_expression(self, key: str, expression: ValueExpression) -> str:
         if expression.kind == "construct":
@@ -458,15 +437,39 @@ class Configurator:
     # resolution
 
     def resolve_value(self, key: str) -> str:
-        """Triggered read of ``key`` with cycle detection across namespaces."""
-        definition = self._definitions.get(key)
-        own = None if definition is None else definition.trigger_id
-        if any(handler_id != own for handler_id in self.store.read_handler_ids(key)):
-            _volatile_read()  # such handlers must fire on every read through here
-        if self._linker is None:
-            return self.store.read(key)
-        with self._linker.resolution_guard(self.description, key):
-            return self.store.read(key)
+        """Triggered read of ``key``, then evaluation of its lazy definition
+        if the epoch moved since it was resolved; a construct runs on every
+        read.  A revisited (configurator, key) pair raises CircularReference,
+        a chain too deep for the interpreter stack RecursionLimitExceeded.
+        """
+        frame = (self, key)
+        if frame in _resolving:
+            chain = " -> ".join(f"{cfg.identifier}:{k}" for cfg, k in [*_resolving, frame])
+            raise CircularReference(f"reference cycle: {chain}")
+        _resolving[frame] = None
+        try:
+            value = self.store.read(key)
+            if self.store.read_handler_ids(key):
+                _volatile_read()  # user handlers must fire on every read through here
+            definition = self._definitions.get(key)
+            epoch = current_epoch()
+            if definition is None or definition.resolved_at == epoch:
+                return value
+            volatile = _volatile_reads
+            value = self._evaluate_expression(key, definition.expression)
+            self.store.write_resolved(key, value)
+            if _volatile_reads == volatile:
+                # the epoch from before the walk: a change during it leaves
+                # this stamp stale at once
+                definition.resolved_at = epoch
+            return value
+        except RecursionError:
+            if len(_resolving) > 1:  # convert it once, at the outermost frame
+                raise
+            raise RecursionLimitExceeded(
+                f"reference chain from {self.identifier}:{key} is too deep to resolve") from None
+        finally:
+            del _resolving[frame]
 
     def fragment_payload(self) -> str:
         raise NotImplementedError(
@@ -479,7 +482,7 @@ class Configurator:
         lines = []
         for key in self.store:
             definition = self._definitions.get(key)
-            if definition is not None and definition.expression.kind != "literal":
+            if definition is not None:
                 if not resolve:
                     lines.append(f"define {key} {definition.expression.text}")
                     continue

@@ -32,8 +32,8 @@ class InvalidKey(RunjobError):
 
 
 class RecursionLimitExceeded(RunjobError):
-    """Trigger handlers kept performing triggered accesses past the nesting cap,
-    or a reference chain grew too deep to resolve."""
+    """Trigger handlers nested triggered accesses past the store's cap, or a
+    reference chain was too deep for the interpreter stack to resolve."""
 
 
 class BackendContractViolation(RunjobError):

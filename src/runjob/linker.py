@@ -4,15 +4,15 @@ It owns the attach-ordered configurator list, the script-object repository
 (one object per object id, in emission order), framework message groups,
 the strict/lenient dependency mode, and the declarative state dump.  All
 cross-namespace parameter lookup funnels through
-:meth:`Linker.lookup_parameter`, which is where visibility rules and
-reference-cycle detection live.
+:meth:`Linker.lookup_parameter`, which is where visibility rules live;
+the configurator's ``resolve_value`` evaluates definitions and detects
+reference cycles.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter, defaultdict
-from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
@@ -26,9 +26,7 @@ from .configurator import (
 )
 from .errors import (
     AmbiguousIdentifier,
-    CircularReference,
     DuplicateIdentifier,
-    RecursionLimitExceeded,
     RunjobError,
     UnknownConfigurator,
     UnknownType,
@@ -63,8 +61,6 @@ class Linker:
         self.run_mode = run_mode
         # (scriptgen, delegator type) in order of latest registration
         self._registrations: dict[tuple[Configurator, str], None] = {}
-        # (type, instance, key) frames in resolution order; values unused
-        self._resolution_stack: dict[tuple[str, str, str], None] = {}
 
     @property
     def strict(self) -> bool:
@@ -242,33 +238,6 @@ class Linker:
                     f"{requester.identifier} reads {target.identifier}:{key} "
                     "without a declared dependency")
         return target.resolve_value(key)
-
-    @contextmanager
-    def resolution_guard(self, description: ConfiguratorDescription, key: str):
-        """Track one (configurator, key) frame of a resolution chain.
-
-        A revisited frame raises CircularReference.  A chain too deep for
-        the interpreter stack raises RecursionLimitExceeded from the frame
-        the chain started at.
-        """
-        stack = self._resolution_stack
-        frame = (description.type_name, description.instance_name, key)
-        if frame in stack:
-            chain = " -> ".join(f"{ConfiguratorDescription(t, i).identifier}:{k}"
-                                for t, i, k in [*stack, frame])
-            raise CircularReference(f"reference cycle: {chain}")
-        outermost = not stack
-        stack[frame] = None
-        try:
-            yield
-        except RecursionError:
-            if not outermost:
-                raise
-            raise RecursionLimitExceeded(
-                f"reference chain from {description.identifier}:{key} is too deep "
-                "to resolve") from None
-        finally:
-            del stack[frame]
 
     # script object repository
 

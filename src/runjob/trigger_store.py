@@ -14,7 +14,7 @@ any object honouring the mutable mapping contract (get/set/delete/contains
 and iteration in insertion order).
 
 Every mutation through the store API advances one process-wide epoch, which
-resolvers compare against to tell whether a value they resolved is stale.
+configurators compare against to tell whether a value they resolved is stale.
 """
 
 from __future__ import annotations
@@ -154,11 +154,11 @@ class TriggerStore:
         return self._backend[key]
 
     def write_resolved(self, key: str, value: str) -> None:
-        """Untriggered write of the value a read handler resolved for ``key``.
+        """Untriggered write of the value a lazy definition resolved for ``key``.
 
-        It neither checks the key, which the handler's definition already
-        did, nor advances the epoch: the value is what the store's state
-        already implies.
+        It neither checks the key, which the definition already did, nor
+        advances the epoch: the value is what the stores' state already
+        implies.
         """
         self._backend[key] = value
 

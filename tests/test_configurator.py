@@ -124,16 +124,23 @@ class TestDefine:
 
         cfg.register_construct("k", build)
         cfg.define("k", ValueExpression.construct())
-        assert cfg.store.read("k") == "result-1"
-        assert cfg.store.read("k") == "result-2"
+        assert cfg.resolve_value("k") == "result-1"
+        assert cfg.resolve_value("k") == "result-2"
 
     def test_redefinition_replaces_old_trigger(self):
         cfg = bare()
         cfg.register_construct("k", lambda: "constructed")
         cfg.define("k", ValueExpression.construct())
-        assert cfg.store.read("k") == "constructed"
+        assert cfg.resolve_value("k") == "constructed"
         cfg.define("k", ValueExpression.literal("plain"))
-        assert cfg.store.read("k") == "plain"
+        assert cfg.resolve_value("k") == "plain"
+
+    def test_rejected_definition_keeps_the_previous_one(self):
+        cfg = bare()
+        cfg.define("InputFile", ValueExpression.reference("B", "InputFile"))
+        with pytest.raises(NoConstructRegistered):
+            cfg.define("InputFile", ValueExpression.construct())
+        assert cfg.dump_commands() == ["define InputFile ::B:InputFile"]
 
 
 class Custom(Configurator):
@@ -327,6 +334,27 @@ class TestResolveValue:
         linker.route("Step named B", "define y ::A:x")
         with pytest.raises(CircularReference):
             linker.find("A").resolve_value("x")
+
+    @pytest.mark.parametrize("bound", [False, True], ids=["unbound", "bound"])
+    def test_construct_reading_its_own_key_is_a_cycle(self, linker, bound):
+        if bound:
+            linker.register_type("Box", Configurator)
+            cfg = linker.find(linker.attach("Box"))
+        else:
+            cfg = bare()
+        cfg.register_construct("k", lambda: cfg.resolve_value("k"))
+        cfg.define("k", ValueExpression.construct())
+        with pytest.raises(CircularReference, match="^reference cycle: Box:k -> Box:k$"):
+            cfg.resolve_value("k")
+
+    def test_chain_inside_one_configurator_is_not_capped(self, linker):
+        # longer than the store's nesting cap for handler rewrite loops
+        cfg = linker.find(linker.attach("Step", "A"))
+        cfg.apply_macro("define k0 root")
+        for i in range(1, 20):
+            cfg.apply_macro(f"define k{i} ::A:k{i - 1}")
+        assert cfg.store.read_handler_ids("k19") == []
+        assert cfg.resolve_value("k19") == "root"
 
     def test_resolution_is_repeatable(self, linker):
         linker.attach("HelloWorldScriptGen")

@@ -176,7 +176,7 @@ class TestLookupParameter:
     def test_redefined_reference_no_longer_resolves(self, linker):
         cfg = self.setup_pair(linker)
         cfg.apply_macro("define HelloMessage ::Ghost:x")
-        cfg.apply_macro("define HelloMessage hi")  # deregisters the reference trigger
+        cfg.apply_macro("define HelloMessage hi")  # replaces the reference definition
         assert linker.lookup_parameter(None, cfg.identifier, "HelloMessage") == "hi"
 
     def test_missing_key_propagates(self, linker):

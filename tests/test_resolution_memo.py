@@ -27,7 +27,7 @@ from runjob.errors import (
     VisibilityViolation,
 )
 from runjob.linker import Linker
-from runjob.trigger_store import GLOBAL_READ
+from runjob.trigger_store import GLOBAL_READ, indexed_read
 
 # Box writes nothing when built, so only the linker's own epoch step covers
 # an attach of one
@@ -265,11 +265,14 @@ class TestVolatileReads:
     def test_global_read_handler_on_mid_chain_store_fires_on_every_read(self, linker):
         head = self.chain(linker, ["A", "B", "C"])
         linker.route("Step named C", "define InputFile root.in")
-        fired = []
-        linker.find("B").store.register_trigger(GLOBAL_READ, lambda args: fired.append(args[1]))
-        for _ in range(3):
-            assert head.resolve_value("InputFile") == "root.in"
-        assert fired == ["InputFile"] * 3
+        store = linker.find("B").store
+        for kind in (GLOBAL_READ, indexed_read("InputFile")):
+            fired = []
+            handler_id = store.register_trigger(kind, lambda args: fired.append(args[1]))
+            for _ in range(3):
+                assert head.resolve_value("InputFile") == "root.in"
+            assert fired == ["InputFile"] * 3
+            store.deregister_trigger(handler_id)
 
     def test_walk_that_changes_state_is_not_kept(self, linker):
         class Counted(Configurator):
