@@ -79,16 +79,17 @@ class FileInput(Configurator):
 
     def load(self) -> int:
         """Read SourceFile into the store (untriggered); returns pair count."""
-        path = Path(self.resolve_value("SourceFile"))
-        count = 0
-        for key, value in read_key_values(path):
+        pairs = read_key_values(Path(self.resolve_value("SourceFile")))
+        for key, value in pairs:
             self.store.untriggered_write(key, value)
-            count += 1
-        return count
+        return len(pairs)
 
 
 def read_key_values(path: Path) -> list[tuple[str, str]]:
-    """Parse ``key=value`` lines; '#' comments and blank lines are skipped."""
+    """Parse ``key=value`` lines; '#' comments and blank lines are skipped.
+    Whitespace runs in a value collapse, as in ``define``.  A line the dump
+    could not re-source (holding '#', or a value starting with '::' or ending
+    in a backslash) is a MalformedLine."""
     if not path.exists():
         raise FileNotFoundError(f"no such metadata file: {path}")
     pairs = []
@@ -97,9 +98,12 @@ def read_key_values(path: Path) -> list[tuple[str, str]]:
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        key = key.strip()
+        key, value = key.strip(), " ".join(value.split())
         if not sep or not key:
             raise MalformedLine(f"expected key=value, got {raw!r}",
+                                filename=str(path), lineno=lineno)
+        if "#" in line or value.startswith("::") or value.endswith("\\"):
+            raise MalformedLine(f"cannot be re-sourced as a literal define: {raw!r}",
                                 filename=str(path), lineno=lineno)
         try:
             pairs.append((check_token(key), value))
@@ -141,6 +145,7 @@ class Fork(Configurator):
         self.register_construct("ExecutableList", self._collect_composite_paths)
         self.register_framework_handler("RunJob", self._handle_run_job)
         self.last_run_report: RunReport | None = None
+        self.jobs: list = []  # background processes, kept until someone waits on them
 
     def _handle_run_job(self) -> None:
         self.last_run_report = self.run_jobs(self._linker.run_mode)
@@ -154,17 +159,22 @@ class Fork(Configurator):
         name = self.resolve_value("ScriptGenName")
         if not name:
             return ""
-        scriptgen = self._linker.find(name)
+        import shlex  # here, like subprocess in run_jobs, so start-up never loads it
         composites = self._linker.collect_script_objects(
-            target=scriptgen.script_target, producer=scriptgen.description, kind="composite")
-        return " ".join(str(self._linker.materialize(obj.filename, obj.payload))
+            producer=self._linker.find(name).description, kind="composite")
+        return " ".join(shlex.quote(str(self._linker.materialize(obj.filename, obj.payload)))
                         for obj in composites)
 
     def run_jobs(self, mode: str = "foreground") -> RunReport:
         """Spawn every path in ExecutableList according to ``mode``."""
         if mode not in RUN_MODES:
             raise RunjobError(f"unknown run mode {mode!r}")
-        paths = self.resolve_value("ExecutableList").split()
+        import shlex
+        try:
+            paths = shlex.split(self.resolve_value("ExecutableList"))
+        except ValueError as exc:  # e.g. an unclosed quote in a literal list
+            raise RunjobError(f"{self.identifier}: ExecutableList: {exc}") from None
+        self.jobs = [job for job in self.jobs if job.poll() is None]  # reap finished ones
         report = RunReport(mode)
         failures = []
         for index, path in enumerate(paths):
@@ -180,6 +190,7 @@ class Fork(Configurator):
                     process = subprocess.Popen([executable], env=env)
                     result.pid = process.pid
                     result.process = process
+                    self.jobs.append(process)
                 else:
                     completed = subprocess.run([executable], env=env, capture_output=True,
                                                encoding="utf-8", errors="replace")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .builtins import RUN_MODES, make_linker
 from .errors import IncompleteInput, RunjobError
-from .linker import Linker
+from .linker import Linker, write_atomically
 from .macro_lang import MacroInterpreter, check_script, execute_file, parse_script
 from .scriptgen import DAG_FILENAME, build_dag
 
@@ -99,18 +99,25 @@ def run_script(args) -> int:
         check_script(args.script)
         return 0
     linker = _new_linker(args)
-    execute_file(linker, args.script)
-    messages = args.framework.split()
-    if messages:
-        linker.run_framework(*messages)
-    for path in materialize_outputs(linker, args.target):
-        print(f"wrote {path}")
-    print_run_reports(linker, sys.stdout)
-    if args.dump == "-":
-        sys.stdout.write(linker.dump_state(resolve=args.resolve))
-    elif args.dump is not None:
-        Path(args.dump).write_text(linker.dump_state(resolve=args.resolve), encoding="utf-8")
-        print(f"wrote {args.dump}")
+    try:
+        execute_file(linker, args.script)
+        messages = args.framework.split()
+        if messages:
+            linker.run_framework(*messages)
+        for path in materialize_outputs(linker, args.target):
+            print(f"wrote {path}")
+        print_run_reports(linker, sys.stdout)
+        if args.dump == "-":
+            sys.stdout.write(linker.dump_state(resolve=args.resolve))
+        elif args.dump is not None:
+            path, text = Path(args.dump), linker.dump_state(resolve=args.resolve)
+            if path.is_symlink() or path.exists() and not path.is_file():
+                path.write_text(text, encoding="utf-8")  # a link, pipe or device: write through
+            else:
+                write_atomically(path, text)
+            print(f"wrote {args.dump}")
+    finally:
+        wait_for_jobs(linker)
     return 0
 
 
@@ -119,7 +126,7 @@ def materialize_outputs(linker: Linker, target: str) -> list[Path]:
     if target != "dag":
         composites = linker.collect_script_objects(target="shell", kind="composite")
         return [linker.materialize(obj.filename, obj.payload) for obj in composites]
-    fragments = linker.collect_script_objects(target="shell", kind="fragment")
+    fragments = linker.collect_script_objects(kind="fragment")
     paths = [linker.materialize(obj.filename, obj.payload) for obj in fragments]
     dags = linker.collect_script_objects(target="dag", kind="composite")
     # with no DagGen attached, wrap every shell fragment
@@ -143,6 +150,13 @@ def print_run_reports(linker: Linker, out) -> None:
         else:
             out.write(report.stdout)
         cfg.last_run_report = None
+
+
+def wait_for_jobs(linker: Linker) -> None:
+    """Wait for every background job a Fork has started."""
+    for cfg in linker.configurators:
+        for process in getattr(cfg, "jobs", ()):
+            process.wait()
 
 
 REPL_HELP = """\
@@ -203,6 +217,7 @@ def repl(linker: Linker, input_stream=None, output=None) -> None:
     if incomplete is not None:
         out.write(f"error: {incomplete}\n")
     prompt("\n")
+    wait_for_jobs(linker)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -457,7 +457,7 @@ class Configurator:
                 return value
             volatile = _volatile_reads
             value = self._evaluate_expression(key, definition.expression)
-            self.store.write_resolved(key, value)
+            self.store.backend[key] = value  # raw write: it adds no state, so no epoch
             if _volatile_reads == volatile:
                 # the epoch from before the walk: a change during it leaves
                 # this stamp stale at once

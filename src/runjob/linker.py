@@ -1,7 +1,7 @@
 """The Linker: configurator container, communication bus, and framework driver.
 
 It owns the attach-ordered configurator list, the script-object repository
-(one object per object id, in emission order), framework message groups,
+(one object per file name, in emission order), framework message groups,
 the strict/lenient dependency mode, and the declarative state dump.  All
 cross-namespace parameter lookup funnels through
 :meth:`Linker.lookup_parameter`, which is where visibility rules live;
@@ -129,17 +129,13 @@ class Linker:
                 f"{cfg.identifier}: requirement {pattern.render()!r} "
                 "matches no attached configurator")
 
-    def find(self, identifier) -> Configurator:
+    def find(self, identifier: str) -> Configurator:
         """Resolve "Type", "Type named Name", or a unique instance name.
 
         Single tokens match a type-named configurator first; failing that,
         exactly one attached instance with that instance name.
         """
-        if isinstance(identifier, str):
-            tokens = identifier.split()
-        else:
-            tokens = list(identifier)
-        type_name, instance = parse_identifier(tokens)
+        type_name, instance = parse_identifier(identifier.split())
         if instance is not None:
             cfg = self._configurators.get((type_name, instance))
             if cfg is None:
@@ -200,10 +196,9 @@ class Linker:
         first handler error aborts the run, annotated with the failing
         configurator's description.
         """
-        expanded: list[str] = []
-        for message in messages:
-            expanded.extend(self.framework_groups.get(message, [message]))
-        records = []
+        expanded = [expansion for message in messages
+                    for expansion in self.framework_groups.get(message, [message])]
+        start = len(self.dispatch_log)
         for message in expanded:
             for cfg in list(self._configurators.values()):
                 try:
@@ -211,10 +206,8 @@ class Linker:
                 except RunjobError as exc:
                     exc.dispatch_context = (message, cfg.identifier)
                     raise
-                record = DispatchRecord(message, cfg.description, outcome)
-                self.dispatch_log.append(record)
-                records.append(record)
-        return records
+                self.dispatch_log.append(DispatchRecord(message, cfg.description, outcome))
+        return self.dispatch_log[start:]
 
     def define_group(self, name: str, messages) -> None:
         self.framework_groups[name] = list(messages)
@@ -272,26 +265,10 @@ class Linker:
         return len(stale)
 
     def materialize(self, name: str, text: str) -> Path:
-        """Write ``text`` as file ``name`` under the output directory and
-        return its path.
-
-        A ``.sh`` file gets the executable bit.  The file is written beside
-        its final name and then renamed over it, so a reader never sees a
-        partial artifact.
-        """
+        """Write ``text`` atomically as file ``name`` under the output
+        directory and return its path."""
         self.output_dir.mkdir(parents=True, exist_ok=True)
-        path = self.output_dir / name
-        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            with open(temp, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-            if path.suffix == ".sh":
-                temp.chmod(0o755)
-            os.replace(temp, path)
-        except BaseException:
-            temp.unlink(missing_ok=True)
-            raise
-        return path
+        return write_atomically(self.output_dir / name, text)
 
     # declarative dump
 
@@ -302,16 +279,31 @@ class Linker:
         current literals, turning the dump into a provenance record instead
         of a live description.
         """
-        lines = ["# runjob state dump"]
         configurators = list(self._configurators.values())
-        for cfg in configurators:
-            lines.append(f"attach {cfg.identifier}")
+        lines = ["# runjob state dump", *(f"attach {cfg.identifier}" for cfg in configurators)]
         # registration order matters when two scriptgens claim one type
-        for scriptgen, delegator_type in self._registrations:
-            lines.append(f"cfg {scriptgen.identifier} register {delegator_type}")
-        for cfg in configurators:
-            for command in cfg.dump_commands(resolve):
-                lines.append(f"cfg {cfg.identifier} {command}")
-        for name, messages in self.framework_groups.items():
-            lines.append(f"framework group {name} {' '.join(messages)}")
+        lines += [f"cfg {scriptgen.identifier} register {delegator_type}"
+                  for scriptgen, delegator_type in self._registrations]
+        lines += [f"cfg {cfg.identifier} {command}"
+                  for cfg in configurators for command in cfg.dump_commands(resolve)]
+        lines += [f"framework group {name} {' '.join(messages)}"
+                  for name, messages in self.framework_groups.items()]
         return "\n".join(lines) + "\n"
+
+
+def write_atomically(path: Path, text: str) -> Path:
+    """Write ``text`` as UTF-8 to a temporary file beside ``path`` and rename
+    it over ``path``, so a reader never sees a partial file and a hard link
+    to the old file keeps the old text.  A ``.sh`` file gets the executable
+    bit."""
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        if path.suffix == ".sh":
+            temp.chmod(0o755)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    return path

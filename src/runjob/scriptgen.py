@@ -21,27 +21,20 @@ DAG_FILENAME = "workflow.dag"
 class ScriptObject(NamedTuple):
     """One generated code artifact held in the linker repository."""
 
-    object_id: str
+    filename: str  # the file it materializes as, named by the emitting scriptgen
     target: str  # execution environment, e.g. "shell" or "dag"
     payload: str
     producer: ConfiguratorDescription
     kind: str = "fragment"  # or "composite"
 
-    @property
-    def filename(self) -> str:
-        """Name of the file the object materializes as."""
-        return DAG_FILENAME if self.target == "dag" else f"{self.object_id}.sh"
+
+_SHELL_ESCAPES = str.maketrans({ch: "\\" + ch for ch in '\\"$`'})
 
 
 def shell_quote(text: str) -> str:
     """Double-quote ``text`` for POSIX sh, escaping the characters that stay
     special inside double quotes."""
-    escaped = ""
-    for ch in text:
-        if ch in '\\"$`':
-            escaped += "\\"
-        escaped += ch
-    return f'"{escaped}"'
+    return f'"{text.translate(_SHELL_ESCAPES)}"'
 
 
 def fragment_id(producer: ConfiguratorDescription) -> str:
@@ -53,9 +46,7 @@ def compose_shell(fragments) -> str:
     subshell so its state cannot leak into the next."""
     lines = [SHELL_HEADER]
     for fragment in fragments:
-        lines.append("(")
-        lines.append(fragment.payload.rstrip("\n"))
-        lines.append(")")
+        lines += ["(", fragment.payload.rstrip("\n"), ")"]
     lines.append("exit 0")
     return "\n".join(lines) + "\n"
 
@@ -65,11 +56,10 @@ class ScriptGen(Configurator):
 
     Handles MakeScript itself; MakeJob reaches it only through delegation
     from registered delegator types (macro: ``register <Type>``).  A
-    subclass changes the composite by overriding :meth:`compose`.
+    subclass overrides :meth:`compose` and :meth:`composite_filename`.
     """
 
     script_target = "shell"
-    composite_prefix = "composite"
 
     def __init__(self, description: ConfiguratorDescription):
         super().__init__(description)
@@ -85,16 +75,15 @@ class ScriptGen(Configurator):
         return True
 
     def delegated_make_job(self, delegator: Configurator) -> ScriptObject:
-        """Emit one fragment for ``delegator`` into the linker repository."""
+        """Emit one shell fragment for ``delegator`` into the linker repository."""
         return self._linker.add_script_object(ScriptObject(
-            fragment_id(delegator.description), self.script_target,
+            f"{fragment_id(delegator.description)}.sh", "shell",
             delegator.fragment_payload(), delegator.description))
 
     def fragments(self) -> list[ScriptObject]:
         """Repository fragments whose producer currently delegates to us."""
         linker = self._linker
-        return [obj for obj in linker.collect_script_objects(target=self.script_target,
-                                                             kind="fragment")
+        return [obj for obj in linker.collect_script_objects(kind="fragment")
                 if linker.find_by_description(obj.producer).delegate == self.description]
 
     def compose(self) -> str:
@@ -105,8 +94,11 @@ class ScriptGen(Configurator):
     def make_composite(self) -> ScriptObject:
         """Replace our previous composite, if any, with a newly composed one."""
         return self._linker.add_script_object(ScriptObject(
-            f"{self.composite_prefix}_{self.description.slug}", self.script_target,
+            self.composite_filename(), self.script_target,
             self.compose(), self.description, kind="composite"))
+
+    def composite_filename(self) -> str:
+        return f"composite_{self.description.slug}.sh"
 
 
 def requirement_edges(linker, producers) -> list[tuple[ConfiguratorDescription,
@@ -159,15 +151,18 @@ def _assert_acyclic(nodes, edges) -> None:
 
 def build_dag(linker, fragments=None) -> str:
     """Render fragments plus their producers' requirement graph as DAG text:
-    one JOB line per fragment, one PARENT/CHILD line per edge."""
+    one JOB line per producer, naming its first fragment's file, and one
+    PARENT/CHILD line per edge."""
     if fragments is None:
-        fragments = linker.collect_script_objects(target="shell", kind="fragment")
-    producers = list(dict.fromkeys(fragment.producer for fragment in fragments))
+        fragments = linker.collect_script_objects(kind="fragment")
+    producers: dict[ConfiguratorDescription, str] = {}  # to its first fragment's file
+    for fragment in fragments:
+        producers.setdefault(fragment.producer, fragment.filename)
     edges = requirement_edges(linker, producers)
     _assert_acyclic(producers, edges)
     order = {producer: i for i, producer in enumerate(producers)}
     edges.sort(key=lambda e: (order[e[0]], order[e[1]]))
-    lines = [f"JOB {fragment_id(p)} {fragment_id(p)}.sh" for p in producers]
+    lines = [f"JOB {fragment_id(p)} {name}" for p, name in producers.items()]
     lines += [f"PARENT {fragment_id(a)} CHILD {fragment_id(b)}" for a, b in edges]
     return "\n".join(lines) + "\n"
 
@@ -181,7 +176,6 @@ class DagGen(ScriptGen):
     """
 
     script_target = "dag"
-    composite_prefix = "dag"
 
     def __init__(self, description: ConfiguratorDescription):
         super().__init__(description)
@@ -191,3 +185,6 @@ class DagGen(ScriptGen):
         name = self.resolve_value("ScriptGenName")
         fragments = self._linker.find(name).fragments() if name else None
         return build_dag(self._linker, fragments)
+
+    def composite_filename(self) -> str:
+        return DAG_FILENAME

@@ -28,7 +28,7 @@ from .errors import (
     RecursionLimitExceeded,
 )
 
-DEFAULT_MAX_DEPTH = 16
+MAX_DEPTH = 16  # nested handler activations allowed per store
 
 _READ = "read"
 _WRITE = "write"
@@ -103,25 +103,19 @@ class TriggerStore:
 
     Handler firing order is fixed: all global handlers, then all handlers
     indexed on the accessed key, each group in registration order.  Nested
-    triggered accesses performed by handlers are allowed up to ``max_depth``
+    triggered accesses performed by handlers are allowed up to ``MAX_DEPTH``
     activations; beyond that RecursionLimitExceeded is raised.
 
     The mapping dunders are sugar: ``store[k]`` / ``store[k] = v`` are the
     triggered read/write, while iteration, ``in`` and ``len`` never trigger.
     """
 
-    def __init__(self, backend: MutableMapping[str, str] | None = None,
-                 max_depth: int = DEFAULT_MAX_DEPTH):
-        if backend is None:
-            backend = {}
-        else:
-            _validate_backend(backend)
-        self._backend = backend
+    def __init__(self):
+        self._backend: MutableMapping[str, str] = {}  # swap_backend replaces it
         # (mode, key) -> handlers in registration order; key None is global
         self._handlers: dict[tuple[str, str | None], list[TriggerHandler]] = {}
         self._next_id = 0
         self._depth = 0
-        self._max_depth = max_depth
 
     # triggered access
 
@@ -152,15 +146,6 @@ class TriggerStore:
             check_token(key)
             raise KeyNotFound(f"key not found: {key!r}")
         return self._backend[key]
-
-    def write_resolved(self, key: str, value: str) -> None:
-        """Untriggered write of the value a lazy definition resolved for ``key``.
-
-        It neither checks the key, which the definition already did, nor
-        advances the epoch: the value is what the stores' state already
-        implies.
-        """
-        self._backend[key] = value
 
     def delete(self, key: str) -> None:
         if key not in self._backend:
@@ -207,9 +192,9 @@ class TriggerStore:
         pending = [*handlers.get((mode, None), ()), *handlers.get((mode, key), ())]
         if not pending:
             return
-        if self._depth >= self._max_depth:
+        if self._depth >= MAX_DEPTH:
             raise RecursionLimitExceeded(
-                f"trigger nesting exceeded {self._max_depth} activations at key {key!r}")
+                f"trigger nesting exceeded {MAX_DEPTH} activations at key {key!r}")
         self._depth += 1
         try:
             for handler in pending:

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from runjob import execute_script
+from runjob import execute_script, make_linker
 from runjob.builtins import Fork, read_key_values
 from runjob.errors import MalformedLine, RunjobError, SpawnFailure
+from runjob.scriptgen import ScriptGen
 
 
 def run_sh(payload):
@@ -93,7 +94,10 @@ class TestFileInput:
 
     def test_malformed_line_reports_lineno(self, linker, tmp_path):
         cfg = linker.find(linker.attach("FileInput"))
-        for text in (b"ok=1\nno-equals-sign\n", b"ok=1\nbad key=1\n", b"ok=1\n\xff=1\n"):
+        # the last three are values a re-sourced dump would read differently
+        for text in (b"ok=1\nno-equals-sign\n", b"ok=1\nbad key=1\n", b"ok=1\n\xff=1\n",
+                     b"ok=1\nb=hello # not a comment\n", b"ok=1\na=::Step:x\n",
+                     b"ok=1\na=C:\\dir\\\nb=2\n"):
             path = tmp_path / "values.txt"
             path.write_bytes(text)
             cfg.apply_macro(f"define SourceFile {path}")
@@ -134,6 +138,16 @@ cfg FileInput define SourceFile ::HelloWorldScriptGen:Values
     def test_value_keeps_everything_after_first_equals(self, tmp_path):
         path = self.write_values(tmp_path, "Args=a=b=c\n")
         assert read_key_values(path) == [("Args", "a=b=c")]
+
+    def test_dump_of_loaded_values_is_a_fixed_point(self, linker, tmp_path):
+        path = self.write_values(tmp_path, "Greeting = Hello   big\tWorld \nEmpty=\nArgs=-n  2\n")
+        execute_script(linker, f"attach FileInput\ncfg FileInput define SourceFile {path}\n")
+        linker.run_framework("Reset")
+        dump = linker.dump_state()
+        assert "cfg FileInput define Greeting Hello big World\n" in dump
+        replay = make_linker(output_dir=tmp_path / "replay")
+        execute_script(replay, dump)
+        assert replay.dump_state() == dump
 
 
 def hello_world_linker(linker):
@@ -193,6 +207,63 @@ cfg Fork oncall RunJob do define ExecutableList ::construct
         assert len(report.results) == 1
         assert report.results[0].pid is not None
         report.results[0].process.wait(timeout=10)
+
+    def test_background_jobs_are_kept_until_finished(self, linker):
+        linker.run_mode = "background"
+        hello_world_linker(linker)
+        fork = linker.find("Fork")
+        linker.run_framework("Reset", "MakeJob", "MakeScript", "RunJob")
+        first = fork.last_run_report.results[0].process
+        assert fork.jobs == [first]
+        first.wait(timeout=10)
+        linker.run_framework("RunJob")  # the next run drops the finished job
+        second = fork.last_run_report.results[0].process
+        assert fork.jobs == [second]
+        second.wait(timeout=10)
+
+    def test_background_jobs_started_before_a_spawn_failure_are_kept(self, linker, tmp_path):
+        linker.run_mode = "background"
+        job = tmp_path / "ok.sh"
+        job.write_text("#!/bin/sh\nexit 0\n")
+        job.chmod(0o755)
+        fork = linker.find(linker.attach("Fork"))
+        fork.apply_macro(f"define ExecutableList {job} {tmp_path / 'missing.sh'}")
+        with pytest.raises(SpawnFailure, match="missing.sh"):
+            fork.run_jobs("background")
+        assert len(fork.jobs) == 1
+        fork.jobs[0].wait(timeout=10)
+
+    def test_scriptgen_subclass_names_its_own_composite(self, linker):
+        class SubmitGen(ScriptGen):
+            script_target = "submit"
+
+            def compose(self):
+                return "".join(f"queue {obj.filename}\n" for obj in self.fragments())
+
+            def composite_filename(self):
+                return f"{self.description.slug}.sub"
+
+        linker.register_type("SubmitGen", SubmitGen)
+        linker.run_mode = "dry-run"
+        execute_script(linker, """
+attach SubmitGen
+attach Step named A
+cfg SubmitGen register Step
+cfg Step named A define Executable true
+attach Fork
+cfg Fork define ScriptGenName SubmitGen
+cfg Fork oncall RunJob do define ExecutableList ::construct
+""")
+        linker.run_framework("Reset", "MakeJob", "MakeScript", "RunJob")
+        report = linker.find("Fork").last_run_report
+        assert [Path(r.command).name for r in report.results] == ["SubmitGen.sub"]
+        assert Path(report.results[0].command).read_text() == "queue job_Step_A.sh\n"
+
+    def test_unclosed_quote_in_executable_list_is_a_runjob_error(self, linker):
+        fork = linker.find(linker.attach("Fork"))
+        fork.apply_macro("define ExecutableList it's.sh")
+        with pytest.raises(RunjobError, match="ExecutableList"):
+            fork.run_jobs("dry-run")
 
     def test_empty_executable_list_is_success(self, linker):
         fork = linker.find(linker.attach("Fork"))

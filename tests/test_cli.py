@@ -2,6 +2,7 @@
 
 import io
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +74,31 @@ class TestRunCommand:
             assert run_cli("run", str(script), "--target", "dag", "--out", str(out)) == 0
             dags.append((out / "workflow.dag").read_bytes())
         assert dags[0] == dags[1]
+
+    def test_daggen_registered_for_steps_gets_one_fragment_per_step(self, tmp_path):
+        script = tmp_path / "dag_register.mac"
+        script.write_text("attach DagGen\n"
+                          "attach Step named A\n"
+                          "attach Step named B\n"
+                          "cfg DagGen register Step\n"
+                          "cfg Step named A define Executable true\n"
+                          "cfg Step named B define Executable true\n")
+        out = tmp_path / "out"
+        assert run_cli("run", str(script), "--target", "dag", "--out", str(out)) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "job_Step_A.sh", "job_Step_B.sh", "workflow.dag"]
+        assert (out / "workflow.dag").read_text() == (
+            "JOB job_Step_A job_Step_A.sh\nJOB job_Step_B job_Step_B.sh\n")
+
+    def test_out_dir_with_a_space_runs_the_composite(self, fixtures, tmp_path, capsys):
+        out = tmp_path / "o 5"
+        script = str(fixtures / "helloworld.mac")
+        assert run_cli("run", script, "--out", str(out)) == 0
+        assert capsys.readouterr().out.endswith("Hello World\nSalut le Monde\nHallo Welt\n")
+        assert run_cli("run", script, "--out", str(out), "--run-mode", "dry-run") == 0
+        listed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("dry-run: ")]
+        assert listed == [f"dry-run: {out / 'composite_HelloWorldScriptGen.sh'}"]
 
     def test_rerun_job_generation_emits_each_job_once(self, fixtures, tmp_path, capsys):
         script = str(fixtures / "rerun.mac")
@@ -181,6 +207,40 @@ class TestRunCommand:
         text = dump_path.read_text()
         assert "attach HelloWorld named English" in text
         assert "::HelloWorldScriptGen:English" in text
+
+    def test_dump_replaces_the_old_file_instead_of_rewriting_it(self, fixtures, tmp_path):
+        dump_path = tmp_path / "dump.mac"
+        dump_path.write_text("# old dump\n")
+        os.link(dump_path, tmp_path / "old.mac")
+        assert run_cli("run", str(fixtures / "helloworld.mac"), "--out", str(tmp_path / "build"),
+                       "--dump", str(dump_path), "--run-mode", "dry-run") == 0
+        assert (tmp_path / "old.mac").read_text() == "# old dump\n"
+        assert dump_path.read_text().startswith("# runjob state dump\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["build", "dump.mac", "old.mac"]
+
+    def test_dump_through_a_symlink_writes_its_target(self, fixtures, tmp_path):
+        target = tmp_path / "target.mac"
+        target.write_text("# old dump\n")
+        link = tmp_path / "dump.mac"
+        link.symlink_to(target)
+        assert run_cli("run", str(fixtures / "helloworld.mac"), "--out", str(tmp_path / "build"),
+                       "--dump", str(link), "--run-mode", "dry-run") == 0
+        assert link.is_symlink()
+        assert target.read_text().startswith("# runjob state dump\n")
+
+    def test_dump_into_a_fifo_writes_through_it(self, fixtures, tmp_path):
+        fifo = tmp_path / "dump.fifo"
+        os.mkfifo(fifo)
+        # a reader must be open before the dump opens the FIFO for writing
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run_cli("run", str(fixtures / "helloworld.mac"), "--out", str(tmp_path / "b"),
+                           "--dump", str(fifo), "--run-mode", "dry-run") == 0
+            text = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert text.startswith("# runjob state dump\n")
 
     def test_resolve_dump_snapshots_literals(self, fixtures, tmp_path):
         dump_path = tmp_path / "state.mac"
@@ -422,6 +482,34 @@ def test_background_alias_reports_pids(fixtures, tmp_path, capsys):
                    "--background")
     assert code == 0
     assert "(pid " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", ["run", "repl", "error after RunJob", "spawn failure"])
+def test_background_jobs_are_waited_for(fixtures, tmp_path, case):
+    # an unwaited child makes Popen.__del__ warn "subprocess N is still running"
+    script, stdin = fixtures / "helloworld.mac", None
+    if case == "error after RunJob":
+        script = tmp_path / "fails.mac"
+        script.write_text(f"source {fixtures / 'helloworld.mac'}\n"
+                          "framework run Reset MakeJob MakeScript RunJob\n"
+                          "cfg Missing define X 1\n")
+    elif case == "spawn failure":
+        job = tmp_path / "ok.sh"
+        job.write_text("#!/bin/sh\necho Hallo Welt\n")
+        job.chmod(0o755)
+        script = tmp_path / "spawn.mac"
+        script.write_text(f"attach Fork\ncfg Fork define ExecutableList {job} {tmp_path}/no.sh\n")
+    args = ["repl"] if case == "repl" else ["run", str(script)]
+    if case == "repl":
+        stdin = f"source {script}\nframework run Reset MakeJob MakeScript RunJob\n"
+    finished = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "runjob", *args, "--out", str(tmp_path / "out"),
+         "--background"],
+        input=stdin, capture_output=True, text=True)
+    assert finished.returncode == (0 if case in ("run", "repl") else 1)
+    assert "ResourceWarning" not in finished.stderr
+    assert finished.stdout.count("(pid ") == (1 if case in ("run", "repl") else 0)
+    assert "Hallo Welt\n" in finished.stdout
 
 
 def test_framework_rerun_is_idempotent(fixtures, tmp_path, capsys):

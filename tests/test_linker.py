@@ -188,14 +188,14 @@ class TestLookupParameter:
 
 class TestRepository:
     def make_object(self, seq, target="shell", kind="fragment"):
-        return ScriptObject(f"job_{seq}", target, f"payload {seq}",
+        return ScriptObject(f"job_{seq}.sh", target, f"payload {seq}",
                             ConfiguratorDescription("Step", f"s{seq}"), kind)
 
     def test_collect_in_sequence_order(self, linker):
         for seq in (2, 0, 1, 2):  # the re-added job_2 moves to the end
             linker.add_script_object(self.make_object(seq))
         collected = linker.collect_script_objects(target="shell")
-        assert [obj.object_id for obj in collected] == ["job_0", "job_1", "job_2"]
+        assert [obj.filename for obj in collected] == ["job_0.sh", "job_1.sh", "job_2.sh"]
 
     def test_collect_on_empty_repository(self, linker):
         assert linker.collect_script_objects(target="shell") == []
@@ -215,20 +215,20 @@ class TestRepository:
     def test_object_id_is_held_for_one_producer_at_a_time(self, linker):
         first = ConfiguratorDescription("Step", "x")
         second = ConfiguratorDescription("Step", "y")
-        linker.add_script_object(ScriptObject("job_x", "shell", "p", first))
-        linker.add_script_object(ScriptObject("job_x", "shell", "p", first))  # replaces
+        linker.add_script_object(ScriptObject("job_x.sh", "shell", "p", first))
+        linker.add_script_object(ScriptObject("job_x.sh", "shell", "p", first))  # replaces
         with pytest.raises(DuplicateIdentifier, match="'job_x.sh'"):
-            linker.add_script_object(ScriptObject("job_x", "shell", "q", second))
+            linker.add_script_object(ScriptObject("job_x.sh", "shell", "q", second))
         assert [obj.producer for obj in linker.repository.values()] == [first]
         linker.remove_script_objects(producer=first)
-        second_obj = linker.add_script_object(ScriptObject("job_x", "shell", "q", second))
+        second_obj = linker.add_script_object(ScriptObject("job_x.sh", "shell", "q", second))
         assert second_obj.producer == second
 
     def test_rejected_object_leaves_the_held_one_in_place(self, linker):
         held, other = self.make_object(0), self.make_object(1)
         linker.add_script_object(held)
         linker.add_script_object(other)
-        clash = ScriptObject("job_0", "shell", "q", other.producer)
+        clash = ScriptObject("job_0.sh", "shell", "q", other.producer)
         with pytest.raises(DuplicateIdentifier):
             linker.add_script_object(clash)
         assert list(linker.repository.values()) == [held, other]

@@ -190,7 +190,7 @@ class TestMakeComposite:
     def test_remake_never_removes_another_producers_object(self, linker):
         sg = hello_setup(linker)
         other = ConfiguratorDescription("HelloWorld", "English")
-        foreign = ScriptObject("composite_HelloWorldScriptGen", "shell", "x", other,
+        foreign = ScriptObject("composite_HelloWorldScriptGen.sh", "shell", "x", other,
                                kind="composite")
         linker.add_script_object(foreign)
         with pytest.raises(DuplicateIdentifier):
@@ -428,7 +428,7 @@ def random_requirement_graph(rng, linker):
                 continue
             cfg.add_requirement(pattern)
     producers = [cfg.description for cfg in cfgs if rng.random() < 0.8]
-    fragments = [ScriptObject(fragment_id(p), "shell", "true", p)
+    fragments = [ScriptObject(f"{fragment_id(p)}.sh", "shell", "true", p)
                  for p in producers for _ in range(rng.randint(1, 2))]
     rng.shuffle(fragments)
     return fragments
@@ -486,7 +486,7 @@ class TestLinearCounts:
         per_size = {}
         for steps in (100, 1000):
             linker = self.strict_chain(tmp_path, steps)
-            fragments = [ScriptObject(fragment_id(cfg.description), "shell", "true",
+            fragments = [ScriptObject(f"{fragment_id(cfg.description)}.sh", "shell", "true",
                                       cfg.description)
                          for cfg in linker.configurators[1:]]
             calls[0] = 0

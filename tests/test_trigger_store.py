@@ -11,6 +11,7 @@ from runjob.errors import (
 from runjob.trigger_store import (
     GLOBAL_READ,
     GLOBAL_WRITE,
+    MAX_DEPTH,
     TriggerStore,
     current_epoch,
     indexed_read,
@@ -278,18 +279,18 @@ class TestRecursionGuard:
             store.write("k", "v")
         assert store.activation_depth == 0
 
-    def test_nested_depth_is_configurable(self):
-        store = TriggerStore(max_depth=3)
+    def test_nesting_up_to_the_cap_is_allowed(self):
+        store = TriggerStore()
         depths = []
 
         def chain(args):
             depths.append(args[0].activation_depth)
-            if args[0].activation_depth < 3:
+            if args[0].activation_depth < MAX_DEPTH:
                 args[0].write("k", "deeper")
 
         store.register_trigger(indexed_write("k"), chain)
         store.write("k", "v")
-        assert depths == [1, 2, 3]
+        assert depths == list(range(1, 17))
 
     def test_untriggered_only_handlers_stay_at_depth_one(self):
         store = TriggerStore()
@@ -346,7 +347,7 @@ class TestEpoch:
         before = current_epoch()
         store.read("k")
         store.untriggered_read("k")
-        store.write_resolved("k", "resolved")
+        store.backend["k"] = "resolved"
         assert store.untriggered_read("k") == "resolved"
         assert current_epoch() == before
 
