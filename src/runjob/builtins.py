@@ -14,7 +14,7 @@ from pathlib import Path
 from .configurator import Configurator, ConfiguratorDescription
 from .errors import InvalidKey, MalformedLine, RunjobError, SpawnFailure
 from .linker import Linker
-from .macro_lang import read_utf8
+from .macro_lang import read_utf8, split_lines
 from .scriptgen import DagGen, ScriptGen, shell_quote
 from .trigger_store import check_token
 
@@ -93,7 +93,7 @@ def read_key_values(path: Path) -> list[tuple[str, str]]:
     if not path.exists():
         raise FileNotFoundError(f"no such metadata file: {path}")
     pairs = []
-    for lineno, raw in enumerate(read_utf8(path, MalformedLine).splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(read_utf8(path, MalformedLine)), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

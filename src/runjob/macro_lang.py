@@ -1,6 +1,6 @@
 """Tokenizer, parser, and interpreter for the workflow macro language.
 
-Grammar (line oriented, UTF-8, LF or CRLF):
+Grammar (line oriented, UTF-8, lines end at LF, CRLF or CR):
 
     # comment to end of line
     attach <Type> [named <Name>]
@@ -44,10 +44,27 @@ ENDLOOP_KEYWORD = "endloop"
 class LogicalLine:
     """One comment-stripped, continuation-joined line of macro text."""
 
+    __slots__ = ("lineno", "tokens", "comment")
+
     def __init__(self, lineno: int, tokens: list[str], comment: bool = False):
         self.lineno = lineno  # physical line the logical line starts on
         self.tokens = tokens
         self.comment = comment  # True when the raw text carried a '#' comment
+
+
+def _unify_line_breaks(text: str) -> str:
+    """``text`` with every line break (LF, CRLF or CR) written as LF; no
+    other character ends a line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def split_lines(text: str) -> list[str]:
+    """The physical lines of ``text``, without their line breaks; a break at
+    the very end adds no empty line."""
+    lines = _unify_line_breaks(text).split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def tokenize(text: str, filename: str | None = None) -> list[LogicalLine]:
@@ -56,8 +73,11 @@ def tokenize(text: str, filename: str | None = None) -> list[LogicalLine]:
     pending: list[str] = []
     pending_lineno = 0
     pending_comment = False
-    physical = text.splitlines()
+    physical = split_lines(text)
     for index, raw in enumerate(physical, start=1):
+        if not pending and "#" not in raw and "\\" not in raw:
+            lines.append(LogicalLine(index, raw.split()))  # the common, plain line
+            continue
         stripped, had_comment = _strip_comment(raw)
         stripped = stripped.rstrip()
         if not pending:
@@ -65,11 +85,10 @@ def tokenize(text: str, filename: str | None = None) -> list[LogicalLine]:
             pending_comment = False
         pending_comment = pending_comment or had_comment
         if stripped.endswith("\\"):
-            pending.append(stripped[:-1].rstrip())
+            pending.append(stripped[:-1])
             continue
         pending.append(stripped)
-        joined = " ".join(part for part in pending if part)
-        lines.append(LogicalLine(pending_lineno, joined.split(), pending_comment))
+        lines.append(LogicalLine(pending_lineno, " ".join(pending).split(), pending_comment))
         pending = []
     if pending:  # the last physical line ends with a backslash
         raise DanglingContinuation("line continuation at end of input",
@@ -316,7 +335,10 @@ class MacroInterpreter:
         self._source_stack: list[Path] = []
 
     def run_file(self, path) -> None:
-        path = Path(path).resolve()
+        try:
+            path = Path(path).resolve()
+        except ValueError as exc:  # a NUL byte, which no file name holds
+            raise ParseError(f"cannot source {str(path)!r}: {exc}") from None
         if path in self._source_stack:
             raise SourceCycle(f"{path} is already being sourced", filename=str(path))
         self._source_stack.append(path)
@@ -366,8 +388,9 @@ def read_utf8(path: Path, error: type[RunjobError]) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
+        before = _unify_line_breaks(data[:exc.start].decode("utf-8"))
         raise error(f"invalid UTF-8 byte {data[exc.start]:#04x}", filename=str(path),
-                    lineno=data.count(b"\n", 0, exc.start) + 1) from None
+                    lineno=before.count("\n") + 1) from None
 
 
 def execute_script(linker, text: str, filename: str | None = None) -> None:

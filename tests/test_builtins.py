@@ -94,10 +94,11 @@ class TestFileInput:
 
     def test_malformed_line_reports_lineno(self, linker, tmp_path):
         cfg = linker.find(linker.attach("FileInput"))
-        # the last three are values a re-sourced dump would read differently
+        # the fourth to sixth are values a re-sourced dump would read differently
         for text in (b"ok=1\nno-equals-sign\n", b"ok=1\nbad key=1\n", b"ok=1\n\xff=1\n",
                      b"ok=1\nb=hello # not a comment\n", b"ok=1\na=::Step:x\n",
-                     b"ok=1\na=C:\\dir\\\nb=2\n"):
+                     b"ok=1\na=C:\\dir\\\nb=2\n",
+                     b"ok=1\x0cz=1\nno-equals-sign\n"):  # \x0c does not end a line
             path = tmp_path / "values.txt"
             path.write_bytes(text)
             cfg.apply_macro(f"define SourceFile {path}")

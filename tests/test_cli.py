@@ -1,13 +1,18 @@
 """CLI behavior: batch runs, check mode, targets, dumps, REPL, exit codes."""
 
+import contextlib
 import io
 import os
+import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from runjob import make_linker
 from runjob.cli import main, repl
@@ -115,13 +120,14 @@ class TestRunCommand:
 
     def test_non_utf8_script_is_a_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mac"
-        bad.write_bytes(b"attach Step\n\xff\xfe\n")
         main_script = tmp_path / "main.mac"
         main_script.write_text("attach ScriptGen\nsource bad.mac\n")
-        for script in (bad, main_script):
-            for flags in ((), ("--check",)):
-                assert run_cli("run", str(script), "--out", str(tmp_path / "out"), *flags) == 1
-                assert capsys.readouterr().err == f"error: {bad}:2: invalid UTF-8 byte 0xff\n"
+        for line_break in (b"\n", b"\r\n", b"\r"):
+            bad.write_bytes(b"attach Step" + line_break + b"\xff\xfe\n")
+            for script in (bad, main_script):
+                for flags in ((), ("--check",)):
+                    assert run_cli("run", str(script), "--out", str(tmp_path / "out"), *flags) == 1
+                    assert capsys.readouterr().err == f"error: {bad}:2: invalid UTF-8 byte 0xff\n"
 
     def test_two_daggens_cannot_share_the_dag_file(self, tmp_path, capsys):
         script = tmp_path / "two_dags.mac"
@@ -190,6 +196,22 @@ class TestRunCommand:
         assert run_cli("run", str(fixtures / "dangling.mac"), "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert "dangling.mac:2" in err
+
+    @pytest.mark.parametrize("space", ["\f", "\u2028"])
+    def test_error_line_counts_only_line_breaks(self, tmp_path, capsys, space):
+        script = tmp_path / "ff.mac"
+        script.write_text(f"attach Fork{space}\nattach Fork\nbogus here\n", encoding="utf-8")
+        assert run_cli("run", str(script), "--check") == 1
+        assert capsys.readouterr().err == f"error: {script}:3: unknown directive 'bogus'\n"
+
+    @pytest.mark.parametrize("flags", [("--check",), ("--run-mode", "dry-run")])
+    def test_nul_byte_in_a_source_path_is_a_clean_error(self, tmp_path, capsys, flags):
+        script = tmp_path / "s.mac"
+        script.write_bytes(b"source a\x00b.mac\n")
+        assert run_cli("run", str(script), "--out", str(tmp_path / "out"), *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {script}:1: ")
+        assert "Traceback" not in err
 
     def test_usage_error_exits_two(self, capsys):
         assert run_cli("run") == 2
@@ -524,3 +546,47 @@ def test_framework_rerun_is_idempotent(fixtures, tmp_path, capsys):
     assert len(composites) == 1
     finished = subprocess.run([str(composites[0])], capture_output=True, text=True)
     assert finished.stdout == "Hello World\nSalut le Monde\nHallo Welt\n"
+
+
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
+FIXTURE_SCRIPTS = sorted(path.name for path in FIXTURE_DIR.glob("*.mac"))
+MUTATION_BYTES = [b"\x00", b"\n", b"\r", b"\\", b"#", b" ", b"\x0c", b"\xff", b"\xe2\x80\xa8",
+                  b"$", b"(", b")", b":", b"/", b"a", b"1"]
+NUL_SOURCE = b"\nsource a\x00b.mac\n"
+MUTATION_TOKENS = [b"attach", b"cfg", b"named", b"source", b"loop", b"endloop", b"framework",
+                   b"run", b"group", b"define", b"addreq", b"register", b"oncall", b"do",
+                   b"::construct", b"::Step:OutputFile", b"$(i)", b"i", b"2", NUL_SOURCE]
+
+mutation = st.tuples(st.sampled_from(["insert", "replace", "delete"]),
+                     st.floats(0, 1, exclude_max=True),
+                     st.sampled_from(MUTATION_BYTES + MUTATION_TOKENS))
+
+
+def mutate(data: bytes, mutations) -> bytes:
+    for kind, where, piece in mutations:
+        at = int(where * (len(data) + 1))
+        if kind == "insert":
+            data = data[:at] + piece + data[at:]
+        elif kind == "replace":
+            data = data[:at] + piece + data[at + len(piece):]
+        else:
+            data = data[:at] + data[at + len(piece):]
+    return data
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(name=st.sampled_from(FIXTURE_SCRIPTS), mutations=st.lists(mutation, min_size=1, max_size=4))
+@example(name="cycle_b.mac", mutations=[("insert", 0.0, NUL_SOURCE)])
+def test_mutated_fixtures_never_escape_main(name, mutations):
+    """A mutated fixture, sourced siblings and all, is checked and planned
+    dry: ``main`` returns 0, 1 or 2 and prints no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(FIXTURE_DIR, tmp, dirs_exist_ok=True)
+        script = Path(tmp) / name
+        script.write_bytes(mutate(script.read_bytes(), mutations))
+        for flags in (["--check"], ["--run-mode", "dry-run", "--out", str(Path(tmp) / "out")]):
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main(["run", str(script), *flags])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in stderr.getvalue()

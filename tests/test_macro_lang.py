@@ -1,8 +1,11 @@
 """Macro language: tokenizer, directive parsing, loops, sourcing, fail-fast."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from runjob import execute_script, make_linker, macro_lang, parse_script, tokenize
 from runjob.errors import (
@@ -54,6 +57,57 @@ class TestTokenize:
     def test_logical_line_records_first_physical_line(self):
         lines = tokenize("attach Fork\ncfg Fork define A \\\n b \\\n c\nattach Fork")
         assert [l.lineno for l in lines] == [1, 2, 5]
+
+    @pytest.mark.parametrize("space", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                       "\u2028", "\u2029"])
+    def test_only_lf_crlf_and_cr_end_a_line(self, space):
+        # str.splitlines() would also break here; an editor does not
+        lines = tokenize(f"attach Fork{space}named X\nbogus here\n")
+        assert [(l.lineno, l.tokens) for l in lines] == [
+            (1, ["attach", "Fork", "named", "X"]), (2, ["bogus", "here"])]
+
+
+def reference_tokenize(text):
+    """``tokenize`` without its plain-line fast path: every physical line is
+    comment-stripped, and every logical line is joined and split again.
+    Returns ``(lineno, tokens, comment)`` per logical line, or
+    ``("dangling", lineno)`` for a continuation on the last line."""
+    physical = re.split(r"\r\n|\r|\n", text)
+    if physical[-1] == "":
+        physical.pop()
+    lines, pending, start, comment = [], [], 0, False
+    for index, raw in enumerate(physical, start=1):
+        code, hash_sign, _ = raw.partition("#")
+        code = code.rstrip()
+        if not pending:
+            start, comment = index, False
+        comment = comment or bool(hash_sign)
+        if code.endswith("\\"):
+            pending.append(code[:-1].rstrip())
+            continue
+        pending.append(code)
+        lines.append((start, " ".join(part for part in pending if part).split(), comment))
+        pending = []
+    if pending:
+        return ("dangling", len(physical))
+    return lines
+
+
+def tokenize_outcome(text):
+    try:
+        return [(line.lineno, line.tokens, line.comment) for line in tokenize(text)]
+    except DanglingContinuation as exc:
+        return ("dangling", exc.lineno)
+
+
+TOKENIZER_PIECES = ["#", "\\", "\n", "\r\n", "\r", "\t", "\x0c", "\x85", "\u2028", "\u00a0",
+                    " ", "  ", "attach", "named", "loop", "endloop"]
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.lists(st.sampled_from(TOKENIZER_PIECES), max_size=40).map("".join))
+def test_tokenize_matches_reference(text):
+    assert tokenize_outcome(text) == reference_tokenize(text)
 
 
 class TestParseDirective:
