@@ -90,8 +90,6 @@ def read_key_values(path: Path) -> list[tuple[str, str]]:
     Whitespace runs in a value collapse, as in ``define``.  A line the dump
     could not re-source (holding '#', or a value starting with '::' or ending
     in a backslash) is a MalformedLine."""
-    if not path.exists():
-        raise FileNotFoundError(f"no such metadata file: {path}")
     pairs = []
     for lineno, raw in enumerate(split_lines(read_utf8(path, MalformedLine)), start=1):
         line = raw.strip()

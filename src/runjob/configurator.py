@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     CircularReference,
+    InvalidKey,
     KeyNotFound,
     MacroParseError,
     NoConstructRegistered,
@@ -75,6 +76,12 @@ def format_identifier(type_name: str, instance_name: str | None) -> str:
     return f"{type_name} named {instance_name}"
 
 
+def canonical_identifier(type_name: str, instance_name: str) -> str:
+    """The identifier of a configurator: just the type when the instance is
+    named after it."""
+    return format_identifier(type_name, None if instance_name == type_name else instance_name)
+
+
 class ConfiguratorDescription(NamedTuple("ConfiguratorDescription",
                                          [("type_name", str), ("instance_name", str)])):
     """Identity of a configurator: type and instance name.
@@ -87,18 +94,17 @@ class ConfiguratorDescription(NamedTuple("ConfiguratorDescription",
     __slots__ = ()
 
     def __new__(cls, type_name: str, instance_name: str | None = None):
-        check_token(type_name, "type name")
         if instance_name is None:
             instance_name = type_name
-        else:
-            check_token(instance_name, "instance name")
+        for name, what in ((type_name, "type name"), (instance_name, "instance name")):
+            check_token(name, what)
+            if "/" in name or "\0" in name:  # a name becomes part of a file name
+                raise InvalidKey(f"invalid {what}: {name!r} (a name may not hold '/' or NUL)")
         return super().__new__(cls, type_name, instance_name)
 
     @property
     def identifier(self) -> str:
-        if self.instance_name == self.type_name:
-            return self.type_name
-        return format_identifier(self.type_name, self.instance_name)
+        return canonical_identifier(self.type_name, self.instance_name)
 
     @property
     def slug(self) -> str:
@@ -235,7 +241,8 @@ class Configurator:
         self.description = description
         self.store = TriggerStore()
         self._synonyms: dict[str, tuple[str, str]] = {}
-        self._requirements: tuple[Requirement, ...] = ()
+        # by pattern, in declaration order; a pattern is a (type, name or None) key
+        self._requirements: dict[tuple[str, str | None], Requirement] = {}
         self.delegate: ConfiguratorDescription | None = None  # scriptgen that makes our job
         self._framework_handlers: dict[str, Callable] = {}
         self._macro_handlers: list[Callable] = [self._base_macro_handler]
@@ -243,7 +250,6 @@ class Configurator:
         self._constructors: dict[str, Callable[[], object]] = {}
         self._definitions: dict[str, _Definition] = {}  # lazy definitions only
         self._linker = None
-        self.register_framework_handler("Reset", self._handle_reset)
         for pattern in self.STATIC_REQUIREMENTS:
             self.add_requirement(pattern)
 
@@ -255,7 +261,14 @@ class Configurator:
     def requirements(self) -> tuple[Requirement, ...]:
         """Declared dependencies, in declaration order; only add_requirement
         changes them, so resolved values can rely on them."""
-        return self._requirements
+        return tuple(self._requirements.values())
+
+    def requires(self, description: ConfiguratorDescription) -> bool:
+        """Whether a requirement matches ``description``; looks up only the two
+        patterns that can, "Type named Name" and "Type"."""
+        requirement = (self._requirements.get(description)
+                       or self._requirements.get((description.type_name, None)))
+        return requirement is not None and requirement.pattern.matches(description)
 
     def bind(self, linker) -> None:
         """Called by the linker on attach."""
@@ -370,18 +383,15 @@ class Configurator:
 
     def add_requirement(self, pattern: DependencyPattern, auto: bool = False) -> Requirement:
         """Record a dependency; strict linkers validate it immediately."""
-        for index, existing in enumerate(self._requirements):
-            if existing.pattern == pattern:
-                if existing.auto and not auto:
-                    # an explicit addreq outranks the registration-implied edge
-                    existing = Requirement(pattern, auto=False)
-                    self._requirements = (*self._requirements[:index], existing,
-                                          *self._requirements[index + 1:])
-                return existing
+        existing = self._requirements.get(pattern)
+        if existing is not None:
+            if existing.auto and not auto:
+                # an explicit addreq outranks the registration-implied edge
+                existing = self._requirements[pattern] = Requirement(pattern, auto=False)
+            return existing
         if self._linker is not None and self._linker.strict:
             self._linker.require_attached(self, pattern)
-        requirement = Requirement(pattern, auto)
-        self._requirements += (requirement,)
+        requirement = self._requirements[pattern] = Requirement(pattern, auto)
         advance_epoch()
         return requirement
 
@@ -413,13 +423,16 @@ class Configurator:
     def handle_framework(self, message: str) -> Outcome:
         """Dispatch one framework message: stored commands first, then either
         MakeJob to the delegate, the registered handler, or nothing."""
-        stored = list(self._stored_commands.get(message, ()))
-        for command in stored:
-            self.apply_macro(command)
+        stored = self._stored_commands.get(message)
+        if stored:
+            for command in list(stored):  # a command may store another oncall
+                self.apply_macro(command)
         if message == "MakeJob" and self.delegate is not None:
             self._linker.find_by_description(self.delegate).delegated_make_job(self)
             return Outcome("Delegated", self.delegate)
         handler = self._framework_handlers.get(message)
+        if handler is None and message == "Reset":
+            handler = self._handle_reset  # built in; a registered Reset handler replaces it
         if handler is not None:
             handler()
             return HANDLED
@@ -441,7 +454,13 @@ class Configurator:
         if the epoch moved since it was resolved; a construct runs on every
         read.  A revisited (configurator, key) pair raises CircularReference,
         a chain too deep for the interpreter stack RecursionLimitExceeded.
+        A current value in a store without handlers costs one dict read.
         """
+        definition = self._definitions.get(key)
+        if definition is None or definition.resolved_at == current_epoch():
+            value = self.store.quiet_read(key)
+            if value is not None:
+                return value
         frame = (self, key)
         if frame in _resolving:
             chain = " -> ".join(f"{cfg.identifier}:{k}" for cfg, k in [*_resolving, frame])
@@ -490,7 +509,7 @@ class Configurator:
             else:
                 value = self.store.untriggered_read(key)
             lines.append(f"define {key} {value}" if value else f"additem {key}")
-        for requirement in self._requirements:
+        for requirement in self._requirements.values():
             if not requirement.auto:
                 lines.append(f"addreq {requirement.pattern.render()}")
         for key, (identifier, remote_key) in self._synonyms.items():

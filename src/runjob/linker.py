@@ -21,6 +21,7 @@ from .configurator import (
     ConfiguratorDescription,
     DependencyPattern,
     Outcome,
+    canonical_identifier,
     format_identifier,
     parse_identifier,
 )
@@ -49,11 +50,12 @@ class Linker:
     def __init__(self, *, strict: bool = True, output_dir="." , run_mode: str = DEFAULT_RUN_MODE,
                  types: dict | None = None):
         self._types: dict[str, type] = dict(types or {})
-        self._configurators: dict[tuple[str, str], Configurator] = {}
+        self._configurators: dict[str, Configurator] = {}  # by canonical identifier
         # configurators by instance name, and attached count per type
         self._by_instance: defaultdict[str, list[Configurator]] = defaultdict(list)
         self._type_counts: Counter[str] = Counter()
         self.repository: dict[str, ScriptObject] = {}  # by file name, in emission order
+        self._files: dict[ConfiguratorDescription, tuple[str, ...]] = {}  # by producer
         self.framework_groups: dict[str, list[str]] = {}
         self.dispatch_log: list[DispatchRecord] = []
         self._strict = bool(strict)
@@ -89,9 +91,9 @@ class Linker:
         if factory is None:
             raise UnknownType(f"unknown configurator type {type_name!r}")
         description = ConfiguratorDescription(type_name, instance_name)
-        key = (description.type_name, description.instance_name)
+        key = description.identifier
         if key in self._configurators:
-            raise DuplicateIdentifier(f"{description.identifier!r} is already attached")
+            raise DuplicateIdentifier(f"{key!r} is already attached")
         cfg = factory(description)
         cfg.bind(self)
         instance = description.instance_name
@@ -111,7 +113,7 @@ class Linker:
             self._type_counts[type_name] -= 1
             advance_epoch()
             raise
-        return description.identifier
+        return key
 
     def _validate_requirements(self, cfg: Configurator) -> None:
         for requirement in cfg.requirements:
@@ -123,7 +125,8 @@ class Linker:
         if pattern.instance_name is None:
             attached = self._type_counts[pattern.type_name] > 0
         else:
-            attached = (pattern.type_name, pattern.instance_name) in self._configurators
+            attached = (canonical_identifier(pattern.type_name, pattern.instance_name)
+                        in self._configurators)
         if not attached:
             raise UnsatisfiedDependency(
                 f"{cfg.identifier}: requirement {pattern.render()!r} "
@@ -132,17 +135,21 @@ class Linker:
     def find(self, identifier: str) -> Configurator:
         """Resolve "Type", "Type named Name", or a unique instance name.
 
+        A canonical identifier is one lookup; other spellings are parsed.
         Single tokens match a type-named configurator first; failing that,
         exactly one attached instance with that instance name.
         """
+        cfg = self._configurators.get(identifier)
+        if cfg is not None:
+            return cfg
         type_name, instance = parse_identifier(identifier.split())
         if instance is not None:
-            cfg = self._configurators.get((type_name, instance))
+            cfg = self._configurators.get(canonical_identifier(type_name, instance))
             if cfg is None:
                 raise UnknownConfigurator(
                     f"no configurator {format_identifier(type_name, instance)}")
             return cfg
-        cfg = self._configurators.get((type_name, type_name))
+        cfg = self._configurators.get(type_name)
         if cfg is not None:
             return cfg
         by_instance = self._by_instance.get(type_name, ())
@@ -154,7 +161,7 @@ class Linker:
         raise UnknownConfigurator(f"no configurator matches {type_name!r}")
 
     def find_by_description(self, description: ConfiguratorDescription) -> Configurator:
-        cfg = self._configurators.get((description.type_name, description.instance_name))
+        cfg = self._configurators.get(description.identifier)
         if cfg is None:
             raise UnknownConfigurator(f"no configurator {description.identifier!r}")
         return cfg
@@ -224,9 +231,7 @@ class Linker:
         """
         target = self.find(target_identifier)
         if self.strict and requester is not None and target.description != requester:
-            requester_cfg = self.find_by_description(requester)
-            if not any(r.pattern.matches(target.description)
-                       for r in requester_cfg.requirements):
+            if not self.find_by_description(requester).requires(target.description):
                 raise VisibilityViolation(
                     f"{requester.identifier} reads {target.identifier}:{key} "
                     "without a declared dependency")
@@ -244,6 +249,8 @@ class Linker:
             raise DuplicateIdentifier(
                 f"{obj.producer.identifier} and {holder.producer.identifier} "
                 f"both produce {obj.filename!r}")
+        if holder is None:
+            self._files[obj.producer] = (*self._files.get(obj.producer, ()), obj.filename)
         self.repository.pop(obj.filename, None)
         self.repository[obj.filename] = obj
         return obj
@@ -258,10 +265,10 @@ class Linker:
                 and (kind is None or obj.kind == kind)]
 
     def remove_script_objects(self, producer: ConfiguratorDescription) -> int:
-        stale = [filename for filename, obj in self.repository.items()
-                 if obj.producer == producer]
+        """Drop ``producer``'s objects, visiting only those."""
+        stale = self._files.pop(producer, ())
         for filename in stale:
-            del self.repository[filename]
+            self.repository.pop(filename, None)
         return len(stale)
 
     def materialize(self, name: str, text: str) -> Path:
@@ -284,8 +291,9 @@ class Linker:
         # registration order matters when two scriptgens claim one type
         lines += [f"cfg {scriptgen.identifier} register {delegator_type}"
                   for scriptgen, delegator_type in self._registrations]
-        lines += [f"cfg {cfg.identifier} {command}"
-                  for cfg in configurators for command in cfg.dump_commands(resolve)]
+        for cfg in configurators:
+            prefix = f"cfg {cfg.identifier} "
+            lines += [prefix + command for command in cfg.dump_commands(resolve)]
         lines += [f"framework group {name} {' '.join(messages)}"
                   for name, messages in self.framework_groups.items()]
         return "\n".join(lines) + "\n"

@@ -106,8 +106,7 @@ def _strip_comment(raw: str) -> tuple[str, bool]:
 # directives
 
 class Directive:
-    """One parsed directive; its attributes are its constructor's arguments,
-    which ``substitute_block`` relies on to copy it."""
+    """One parsed directive."""
 
     def __init__(self, lineno: int = 0):
         self.lineno = lineno
@@ -143,12 +142,11 @@ class Attach(_Identified):
 
 
 class Cfg(_Identified):
-    def __init__(self, lineno: int = 0, type_name: str = "", instance_name: str | None = None,
-                 macro: list[str] | None = None):
+    def __init__(self, lineno: int, type_name: str, instance_name: str | None, macro: list[str]):
         self.lineno = lineno
         self.type_name = type_name
         self.instance_name = instance_name
-        self.macro = [] if macro is None else macro
+        self.macro = macro
 
     def describe(self) -> str:
         return f"cfg {self.identifier} :: {' '.join(self.macro)}"
@@ -309,8 +307,9 @@ def substitute_block(directives: list[Directive], var: str, value: str) -> list[
     marker = f"$({var})"
     result = []
     for directive in directives:
-        fields = {}
-        for name, current in vars(directive).items():
+        copy = object.__new__(type(directive))
+        fields = copy.__dict__
+        for name, current in directive.__dict__.items():
             if isinstance(current, str):
                 current = current.replace(marker, value)
             elif name == "body":
@@ -319,7 +318,7 @@ def substitute_block(directives: list[Directive], var: str, value: str) -> list[
             elif isinstance(current, list):
                 current = [token.replace(marker, value) for token in current]
             fields[name] = current
-        result.append(type(directive)(**fields))
+        result.append(copy)
     return result
 
 
@@ -383,8 +382,13 @@ class MacroInterpreter:
 
 def read_utf8(path: Path, error: type[RunjobError]) -> str:
     """Read ``path`` as UTF-8; a byte that does not decode raises ``error``
-    at its file:line."""
-    data = path.read_bytes()
+    at its file:line, a file that cannot be read a RunjobError."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise RunjobError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # a NUL byte, which no file name holds
+        raise RunjobError(f"cannot read {str(path)!r}: {exc}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -110,6 +110,8 @@ class TriggerStore:
     triggered read/write, while iteration, ``in`` and ``len`` never trigger.
     """
 
+    __slots__ = ("_backend", "_handlers", "_next_id", "_depth")  # one store per configurator
+
     def __init__(self):
         self._backend: MutableMapping[str, str] = {}  # swap_backend replaces it
         # (mode, key) -> handlers in registration order; key None is global
@@ -133,6 +135,15 @@ class TriggerStore:
         if key not in self._backend:
             raise KeyNotFound(f"key not found: {key!r}")
         return self._backend[key]
+
+    def quiet_read(self, key: str) -> str | None:
+        """``key``'s value in one dict read; None if it is missing or a handler could fire."""
+        if not self._handlers:
+            try:
+                return self._backend[key]
+            except KeyError:
+                pass
+        return None
 
     # untriggered access
 

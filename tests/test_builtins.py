@@ -109,7 +109,7 @@ class TestFileInput:
     def test_missing_file(self, linker, tmp_path):
         cfg = linker.find(linker.attach("FileInput"))
         cfg.apply_macro(f"define SourceFile {tmp_path / 'absent.txt'}")
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(RunjobError, match="cannot read .*absent.txt: No such file"):
             cfg.load()
 
     def test_reset_reloads_and_serves_values(self, linker, tmp_path):

@@ -213,6 +213,42 @@ class TestRunCommand:
         assert err.startswith(f"error: {script}:1: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [("--check",), ("--run-mode", "dry-run")])
+    def test_missing_sourced_file_is_an_error_at_its_line(self, tmp_path, capsys, flags):
+        script = tmp_path / "m.mac"
+        script.write_text("attach Step\nsource missing.mac\n")
+        assert run_cli("run", str(script), "--out", str(tmp_path / "out"), *flags) == 1
+        missing = tmp_path / "missing.mac"
+        assert capsys.readouterr().err == (f"error: {script}:2: cannot read {missing}: "
+                                           "No such file or directory\n")
+
+    @pytest.mark.parametrize("flags, code", [(("--check",), 0), (("--run-mode", "dry-run"), 1)],
+                             ids=["--check", "dry-run"])
+    def test_missing_metadata_file_is_an_error_at_its_dispatch(self, tmp_path, capsys, flags,
+                                                               code):
+        # checking executes no define, so only the run reads SourceFile
+        script = tmp_path / "f.mac"
+        script.write_text("attach FileInput\ncfg FileInput define SourceFile nothere.txt\n"
+                          "framework run Reset\n")
+        assert run_cli("run", str(script), "--out", str(tmp_path / "out"), *flags) == code
+        assert capsys.readouterr().err == ("" if code == 0 else
+                                           f"error: {script}:3: cannot read nothere.txt: No such "
+                                           "file or directory (dispatching Reset to FileInput)\n")
+
+    @pytest.mark.parametrize("name", [b"a/b", b"a\x00b", b"/"], ids=["slash", "NUL", "root"])
+    @pytest.mark.parametrize("target", ["shell", "dag"])
+    def test_names_that_would_become_paths_are_rejected(self, tmp_path, capsys, name, target):
+        script = tmp_path / "n.mac"
+        script.write_bytes(b"attach ScriptGen\ncfg ScriptGen register Step\nattach Step named "
+                           + name + b"\n")
+        out = tmp_path / "out"
+        assert run_cli("run", str(script), "--target", target, "--run-mode", "dry-run",
+                       "--out", str(out)) == 1
+        shown = repr(name.decode())
+        assert capsys.readouterr().err == (f"error: {script}:3: invalid instance name: {shown} "
+                                           "(a name may not hold '/' or NUL)\n")
+        assert not out.exists()
+
     def test_usage_error_exits_two(self, capsys):
         assert run_cli("run") == 2
         assert run_cli("frobnicate") == 2
@@ -579,12 +615,14 @@ def mutate(data: bytes, mutations) -> bytes:
 @example(name="cycle_b.mac", mutations=[("insert", 0.0, NUL_SOURCE)])
 def test_mutated_fixtures_never_escape_main(name, mutations):
     """A mutated fixture, sourced siblings and all, is checked and planned
-    dry: ``main`` returns 0, 1 or 2 and prints no traceback."""
+    dry, once with the DAG target, where fragments become files: ``main``
+    returns 0, 1 or 2 and prints no traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(FIXTURE_DIR, tmp, dirs_exist_ok=True)
         script = Path(tmp) / name
         script.write_bytes(mutate(script.read_bytes(), mutations))
-        for flags in (["--check"], ["--run-mode", "dry-run", "--out", str(Path(tmp) / "out")]):
+        dry_run = ["--run-mode", "dry-run", "--out", str(Path(tmp) / "out")]
+        for flags in (["--check"], dry_run, ["--target", "dag", *dry_run]):
             stderr = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
                 code = main(["run", str(script), *flags])

@@ -1,7 +1,10 @@
 """Configurator behavior: schema, macros, expressions, dependencies, dispatch."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from runjob import make_linker
 from runjob.configurator import (
     Configurator,
     ConfiguratorDescription,
@@ -18,8 +21,9 @@ from runjob.errors import (
     NoConstructRegistered,
     UnknownMacro,
     UnsatisfiedDependency,
+    VisibilityViolation,
 )
-from runjob.trigger_store import current_epoch
+from runjob.trigger_store import GLOBAL_READ, current_epoch, indexed_read
 
 
 def bare(type_name="Box", instance=None):
@@ -214,6 +218,15 @@ class TestRequirements:
         patterns = [r.pattern for r in cfg.requirements]
         assert len(patterns) == len(set(patterns))
 
+    def test_explicit_addreq_outranks_an_implied_one_in_place(self):
+        cfg = bare()
+        cfg.add_requirement(DependencyPattern("A"), auto=True)
+        cfg.add_requirement(DependencyPattern("B"))
+        cfg.add_requirement(DependencyPattern("A"))
+        assert cfg.requirements == ((DependencyPattern("A"), False),
+                                    (DependencyPattern("B"), False))
+        assert cfg.dump_commands() == ["addreq A", "addreq B"]
+
     def test_attaching_more_never_invalidates(self, linker):
         linker.attach("HelloWorldScriptGen")
         cfg = linker.find(linker.attach("HelloWorld", "English"))
@@ -221,6 +234,41 @@ class TestRequirements:
         for name in ("French", "German"):
             linker.attach("HelloWorld", name)
         linker._validate_requirements(cfg)  # must not raise
+
+
+REQUIRE_TYPES = ("A", "B")
+REQUIRE_NAMES = ("A", "B", "x", "y")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(patterns=st.lists(st.tuples(st.sampled_from(REQUIRE_TYPES),
+                                   st.one_of(st.none(), st.sampled_from(REQUIRE_NAMES)),
+                                   st.booleans()), max_size=6),
+       target=st.tuples(st.sampled_from(REQUIRE_TYPES), st.sampled_from(REQUIRE_NAMES)))
+@example(patterns=[("A", None, True), ("A", "x", False)], target=("A", "x"))
+@example(patterns=[("A", "A", False)], target=("A", "A"))
+def test_strict_visibility_agrees_with_a_scan_of_the_requirements(patterns, target):
+    """``requires``, and so a strict cross-namespace read, allows exactly
+    what a scan of every requirement with ``matches`` allows."""
+    linker = make_linker(types={"A": Configurator, "B": Configurator, "Holder": Configurator})
+    for type_name in REQUIRE_TYPES:
+        for name in REQUIRE_NAMES:
+            linker.find(linker.attach(type_name, name)).define("k", ValueExpression.literal(name))
+    holder = linker.find(linker.attach("Holder"))
+    for type_name, name, auto in patterns:
+        holder.add_requirement(DependencyPattern(type_name, name), auto=auto)
+    description = ConfiguratorDescription(*target)
+    expected = any(r.pattern.matches(description) for r in holder.requirements)
+    assert holder.requires(description) == expected
+
+    def read():
+        return linker.lookup_parameter(holder.description, description.identifier, "k")
+
+    if expected:
+        assert read() == target[1]
+    else:
+        with pytest.raises(VisibilityViolation):
+            read()
 
 
 class TestSynonyms:
@@ -452,3 +500,42 @@ class TestResolveValue:
         with pytest.raises(AttributeError):
             cfg.requirements = ()
         assert [r.pattern for r in cfg.requirements] == [DependencyPattern("Step")]
+
+
+read_ops = st.lists(st.one_of(
+    st.tuples(st.just("define"), st.sampled_from(["one", "two"])),
+    st.tuples(st.just("resolve"), st.sampled_from(["k", "absent"])),
+    st.tuples(st.just("register"), st.sampled_from(["global", "indexed"])),
+    st.tuples(st.just("deregister"), st.just(None)),
+), max_size=12)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(ops=read_ops)
+@example(ops=[("define", "one"), ("resolve", "k"), ("register", "indexed"),
+              ("resolve", "k"), ("resolve", "k"), ("resolve", "absent")])
+def test_read_handlers_fire_on_every_resolve(ops):
+    """A plain value resolves with one dict read only while its store has
+    no handler: a read handler registered after the value was resolved
+    fires on every later read, and a missing key raises KeyNotFound."""
+    cfg = bare()
+    value = None
+    fired, expected, active = [], [], []  # active: (handler id, watched key or None)
+    for op, arg in ops:
+        if op == "define":
+            cfg.define("k", ValueExpression.literal(arg))
+            value = arg
+        elif op == "register":
+            kind = GLOBAL_READ if arg == "global" else indexed_read("k")
+            handler_id = cfg.store.register_trigger(kind, lambda args: fired.append(args[1]))
+            active.append((handler_id, None if arg == "global" else "k"))
+        elif op == "deregister" and active:
+            cfg.store.deregister_trigger(active.pop(0)[0])
+        elif op == "resolve":
+            expected += [arg for _, key in active if key in (None, arg)]
+            if arg == "k" and value is not None:
+                assert cfg.resolve_value(arg) == value
+            else:
+                with pytest.raises(KeyNotFound):
+                    cfg.resolve_value(arg)
+        assert fired == expected

@@ -1,14 +1,18 @@
 """Linker behavior: attach/route, dispatch, visibility, repository, dumps."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from runjob import execute_script
+from runjob import execute_script, make_linker
 from runjob import linker as linker_module
 from runjob.configurator import Configurator, ConfiguratorDescription, DependencyPattern
 from runjob.errors import (
     AmbiguousIdentifier,
     DuplicateIdentifier,
     KeyNotFound,
+    MacroParseError,
+    RunjobError,
     UnknownConfigurator,
     UnknownType,
     UnsatisfiedDependency,
@@ -105,6 +109,83 @@ class TestFind:
         execute_script(linker, "attach HelloWorld named English\n"
                                "cfg HelloWorld named English additem Probe\n")
         assert "Probe" in linker.find("HelloWorld named English").store
+
+
+class RollsBack(Configurator):
+    """Its attach always fails in strict mode, so the linker rolls it back."""
+
+    STATIC_REQUIREMENTS = (DependencyPattern("Missing"),)
+
+
+FIND_TYPES = ("A", "B", "named", "RollsBack")
+FIND_WORDS = FIND_TYPES + ("x", "y", "Z")
+
+
+def reference_find(attached, identifier):
+    """Parse ``identifier``, then look it up among the attached (type, name)
+    pairs: the lookup ``Linker.find`` made before identifiers were keys."""
+    tokens = identifier.split()
+    if len(tokens) == 3 and tokens[1] == "named":
+        type_name, instance = tokens[0], tokens[2]
+    elif len(tokens) == 1:
+        type_name, instance = tokens[0], None
+    else:
+        raise MacroParseError("malformed configurator identifier: "
+                              + (" ".join(tokens) or "<empty>"))
+    if instance is not None:
+        if (type_name, instance) not in attached:
+            raise UnknownConfigurator(f"no configurator {type_name} named {instance}")
+        return type_name, instance
+    if (type_name, type_name) in attached:
+        return type_name, type_name
+    by_instance = [pair for pair in attached if pair[1] == type_name]
+    if len(by_instance) == 1:
+        return by_instance[0]
+    if by_instance:
+        raise AmbiguousIdentifier(f"{type_name!r} names {len(by_instance)} attached configurators")
+    raise UnknownConfigurator(f"no configurator matches {type_name!r}")
+
+
+def outcome(call):
+    try:
+        return call()
+    except RunjobError as exc:
+        return type(exc), exc.message
+
+
+spellings = st.one_of(
+    st.sampled_from(FIND_WORDS),  # a type or a bare instance name
+    st.builds("{} named {}".format, st.sampled_from(FIND_WORDS), st.sampled_from(FIND_WORDS)),
+    st.builds(lambda pad, t, n: f"{pad}{t}{pad}named{pad}{n}{pad}",
+              st.sampled_from([" ", "  ", "\t"]),
+              st.sampled_from(FIND_WORDS), st.sampled_from(FIND_WORDS)),
+    st.lists(st.sampled_from(FIND_WORDS), max_size=4).map(" ".join),  # malformed, too
+)
+attaches = st.lists(st.tuples(st.sampled_from(FIND_TYPES),
+                              st.one_of(st.none(), st.sampled_from(FIND_WORDS))), max_size=10)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(attaches=attaches, identifiers=st.lists(spellings, min_size=1, max_size=6))
+@example(attaches=[("A", "x"), ("B", "x"), ("A", "A"), ("RollsBack", "y")],
+         identifiers=["x", "A named A", "A", " A  named  x ", "RollsBack named y", "y", "Z"])
+def test_find_agrees_with_parse_then_lookup(attaches, identifiers):
+    """After each attach, or rolled-back attach, ``find`` returns what the
+    reference does for every spelling, or raises the same error."""
+    linker = make_linker(types={"A": Configurator, "B": Configurator, "named": Configurator,
+                                "RollsBack": RollsBack})
+    attached = []
+    for type_name, instance in attaches:
+        try:
+            linker.attach(type_name, instance)
+        except (DuplicateIdentifier, UnsatisfiedDependency):
+            pass
+        else:
+            attached.append((type_name, instance or type_name))
+        for identifier in identifiers:
+            expected = outcome(lambda: reference_find(attached, identifier))
+            found = outcome(lambda: tuple(linker.find(identifier).description))
+            assert found == expected, (attached, identifier)
 
 
 class TestRunFramework:

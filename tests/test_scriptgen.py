@@ -495,12 +495,98 @@ class TestLinearCounts:
             per_size[steps] = calls[0]
         assert 0 < per_size[1000] <= 11 * per_size[100]
 
+    @staticmethod
+    def fan_in_plan(tmp_path, monkeypatch, steps):
+        """A merge step that requires and references ``steps`` steps: the
+        script runs ``Reset MakeJob`` twice, then the state is dumped
+        resolved.  Returns the matches calls and the repository entries that
+        Reset visited."""
+        lines = ["attach ScriptGen", "cfg ScriptGen register Step", "attach Step named M",
+                 "cfg Step named M define Executable merge"]
+        for i in range(steps):
+            lines += [f"attach Step named s{i}", f"cfg Step named s{i} define Executable cat",
+                      f"cfg Step named s{i} define OutputFile s{i}.out",
+                      f"cfg Step named M addreq Step named s{i}",
+                      f"cfg Step named M define In{i} ::s{i}:OutputFile"]
+        lines += ["framework run Reset MakeJob"] * 2
+        linker = make_linker(output_dir=tmp_path)
+        linker.repository = repository = VisitCountingDict()
+        original = type(linker).remove_script_objects
+
+        def counted_reset(self, producer):
+            repository.counting = True
+            try:
+                return original(self, producer)
+            finally:
+                repository.counting = False
+
+        monkeypatch.setattr(type(linker), "remove_script_objects", counted_reset)
+        calls = TestLinearCounts.count_matches(monkeypatch)
+        execute_script(linker, "\n".join(lines) + "\n")
+        dump = linker.dump_state(resolve=True)
+        assert dump.count(".out\n") == 2 * steps  # each OutputFile, and each In resolved
+        assert len(linker.repository) == steps + 1
+        return calls[0], repository.visits
+
+    @pytest.mark.parametrize("count", [0, 1], ids=["matches calls", "entries Reset visited"])
+    def test_fan_in_plan_grows_linearly(self, tmp_path, monkeypatch, count):
+        at_n = self.fan_in_plan(tmp_path / "n", monkeypatch, 200)[count]
+        at_2n = self.fan_in_plan(tmp_path / "2n", monkeypatch, 400)[count]
+        assert 0 < at_2n <= 2.2 * at_n, (at_n, at_2n)
+
     def test_strict_attach_and_addreq_scan_no_configurators(self, tmp_path, monkeypatch):
         calls = self.count_matches(monkeypatch)
         linker = self.strict_chain(tmp_path, 1000)
         requirements = sum(len(cfg.requirements) for cfg in linker.configurators)
         assert requirements == 1999
         assert calls[0] <= requirements
+
+
+class VisitCountingDict(dict):
+    """A dict that, while ``counting``, counts the entries each access visits."""
+
+    counting = False
+    visits = 0
+
+    def _visit(self, entries=1):
+        if self.counting:
+            self.visits += entries
+
+    def __getitem__(self, key):
+        self._visit()
+        return super().__getitem__(key)
+
+    def __delitem__(self, key):
+        self._visit()
+        super().__delitem__(key)
+
+    def __contains__(self, key):
+        self._visit()
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self._visit()
+        return super().get(key, default)
+
+    def pop(self, key, *default):
+        self._visit()
+        return super().pop(key, *default)
+
+    def __iter__(self):
+        self._visit(len(self))
+        return super().__iter__()
+
+    def keys(self):
+        self._visit(len(self))
+        return super().keys()
+
+    def values(self):
+        self._visit(len(self))
+        return super().values()
+
+    def items(self):
+        self._visit(len(self))
+        return super().items()
 
 
 class TestShellQuote:
