@@ -74,16 +74,7 @@ def main(argv=None) -> int:
             repl(_new_linker(args))
             return 0
         return run_script(args)
-    except RunjobError as exc:
-        context = getattr(exc, "dispatch_context", None)
-        if context:
-            message, identifier = context
-            print(f"error: {exc} (dispatching {message} to {identifier})",
-                  file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, UnicodeEncodeError) as exc:  # e.g. stdout cannot encode the text
+    except (RunjobError, OSError, UnicodeEncodeError) as exc:  # e.g. text stdout cannot encode
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,13 +2,16 @@
 
 All errors raised on purpose derive from RunjobError.  The macro executor
 fills in ``filename``/``lineno`` when an error surfaces while running a
-script, so the CLI can report a source location.
+script, and the linker sets ``dispatch_context`` when a framework handler
+fails, so the message carries where the failure happened.
 """
 
 from __future__ import annotations
 
 
 class RunjobError(Exception):
+    dispatch_context: tuple[str, str] | None = None  # (message, configurator identifier)
+
     def __init__(self, message: str, *, filename: str | None = None, lineno: int | None = None):
         super().__init__(message)
         self.message = message
@@ -16,10 +19,12 @@ class RunjobError(Exception):
         self.lineno = lineno
 
     def __str__(self) -> str:
+        text = self.message
         if self.lineno is not None:
-            prefix = f"{self.filename or '<input>'}:{self.lineno}: "
-            return prefix + self.message
-        return self.message
+            text = f"{self.filename or '<input>'}:{self.lineno}: {text}"
+        if self.dispatch_context is not None:
+            text += " (dispatching {} to {})".format(*self.dispatch_context)
+        return text
 
 
 # trigger store

@@ -84,8 +84,10 @@ class Linker:
     def attach(self, type_name: str, instance_name: str | None = None) -> str:
         """Instantiate and append a configurator; returns its identifier.
 
-        Strict mode validates the new configurator's requirements against
-        the attached set and rolls the attach back on failure.
+        The configurator is built, delegated and, in strict mode, checked
+        against the attached set before the linker records it, so a failed
+        attach leaves the linker as it was.  A requirement naming the new
+        configurator itself is satisfied.
         """
         factory = self._types.get(type_name)
         if factory is None:
@@ -96,28 +98,18 @@ class Linker:
             raise DuplicateIdentifier(f"{key!r} is already attached")
         cfg = factory(description)
         cfg.bind(self)
-        instance = description.instance_name
+        for scriptgen, delegator_type in self._registrations:
+            if delegator_type == type_name:
+                self._delegate(cfg, scriptgen)
+        if self.strict:
+            for requirement in cfg.requirements:
+                if requirement.pattern not in ((type_name, None), description):
+                    self.require_attached(cfg, requirement.pattern)
         self._configurators[key] = cfg
-        self._by_instance[instance].append(cfg)
+        self._by_instance[description.instance_name].append(cfg)
         self._type_counts[type_name] += 1
         advance_epoch()
-        try:
-            for scriptgen, delegator_type in self._registrations:
-                if delegator_type == type_name:
-                    self._delegate(cfg, scriptgen)
-            if self.strict:
-                self._validate_requirements(cfg)
-        except Exception:
-            del self._configurators[key]
-            self._by_instance[instance].remove(cfg)
-            self._type_counts[type_name] -= 1
-            advance_epoch()
-            raise
         return key
-
-    def _validate_requirements(self, cfg: Configurator) -> None:
-        for requirement in cfg.requirements:
-            self.require_attached(cfg, requirement.pattern)
 
     def require_attached(self, cfg: Configurator, pattern: DependencyPattern) -> None:
         """Strict-mode check that ``cfg``'s requirement ``pattern`` matches an
@@ -143,15 +135,11 @@ class Linker:
         if cfg is not None:
             return cfg
         type_name, instance = parse_identifier(identifier.split())
-        if instance is not None:
-            cfg = self._configurators.get(canonical_identifier(type_name, instance))
-            if cfg is None:
-                raise UnknownConfigurator(
-                    f"no configurator {format_identifier(type_name, instance)}")
-            return cfg
-        cfg = self._configurators.get(type_name)
+        cfg = self._configurators.get(canonical_identifier(type_name, instance or type_name))
         if cfg is not None:
             return cfg
+        if instance is not None:
+            raise UnknownConfigurator(f"no configurator {format_identifier(type_name, instance)}")
         by_instance = self._by_instance.get(type_name, ())
         if len(by_instance) == 1:
             return by_instance[0]

@@ -78,12 +78,12 @@ def tokenize(text: str, filename: str | None = None) -> list[LogicalLine]:
         if not pending and "#" not in raw and "\\" not in raw:
             lines.append(LogicalLine(index, raw.split()))  # the common, plain line
             continue
-        stripped, had_comment = _strip_comment(raw)
+        stripped, hash_mark, _ = raw.partition("#")
         stripped = stripped.rstrip()
         if not pending:
             pending_lineno = index
             pending_comment = False
-        pending_comment = pending_comment or had_comment
+        pending_comment = pending_comment or bool(hash_mark)
         if stripped.endswith("\\"):
             pending.append(stripped[:-1])
             continue
@@ -94,13 +94,6 @@ def tokenize(text: str, filename: str | None = None) -> list[LogicalLine]:
         raise DanglingContinuation("line continuation at end of input",
                                    filename=filename, lineno=len(physical))
     return lines
-
-
-def _strip_comment(raw: str) -> tuple[str, bool]:
-    position = raw.find("#")
-    if position < 0:
-        return raw, False
-    return raw[:position], True
 
 
 # directives
@@ -334,15 +327,12 @@ class MacroInterpreter:
         self._source_stack: list[Path] = []
 
     def run_file(self, path) -> None:
-        try:
-            path = Path(path).resolve()
-        except ValueError as exc:  # a NUL byte, which no file name holds
-            raise ParseError(f"cannot source {str(path)!r}: {exc}") from None
+        text = read_utf8(Path(path).absolute(), ParseError)
+        path = Path(path).resolve()  # after the read, which reports an unreadable path
         if path in self._source_stack:
             raise SourceCycle(f"{path} is already being sourced", filename=str(path))
         self._source_stack.append(path)
         try:
-            text = read_utf8(path, ParseError)
             self.run_directives(parse_script(text, str(path)), str(path))
         finally:
             self._source_stack.pop()
@@ -382,7 +372,8 @@ class MacroInterpreter:
 
 def read_utf8(path: Path, error: type[RunjobError]) -> str:
     """Read ``path`` as UTF-8; a byte that does not decode raises ``error``
-    at its file:line, a file that cannot be read a RunjobError."""
+    at its file:line, a path that cannot be read (missing, a directory, a
+    NUL in the name, a symlink loop) a RunjobError."""
     try:
         data = path.read_bytes()
     except OSError as exc:

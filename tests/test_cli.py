@@ -222,6 +222,25 @@ class TestRunCommand:
         assert capsys.readouterr().err == (f"error: {script}:2: cannot read {missing}: "
                                            "No such file or directory\n")
 
+    @pytest.mark.parametrize("flags", [("--check",), ("--run-mode", "dry-run")])
+    def test_symlink_loop_as_the_script_is_a_clean_error(self, tmp_path, capsys, flags):
+        script = tmp_path / "loop.mac"
+        script.symlink_to(script.name)
+        assert run_cli("run", str(script), "--out", str(tmp_path / "out"), *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {script}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [("--check",), ("--run-mode", "dry-run")])
+    def test_sourced_symlink_loop_is_an_error_at_its_line(self, tmp_path, capsys, flags):
+        script, loop = tmp_path / "s.mac", tmp_path / "loop.mac"
+        script.write_text("attach Step\nsource loop.mac\n")
+        loop.symlink_to(loop.name)
+        assert run_cli("run", str(script), "--out", str(tmp_path / "out"), *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {script}:2: cannot read {loop}: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flags, code", [(("--check",), 0), (("--run-mode", "dry-run"), 1)],
                              ids=["--check", "dry-run"])
     def test_missing_metadata_file_is_an_error_at_its_dispatch(self, tmp_path, capsys, flags,
@@ -444,6 +463,14 @@ class TestRepl:
         assert out == f"error: <input>:1: {error}\n"
         assert [c.identifier for c in linker.configurators] == ["HelloWorld"]
 
+    def test_dispatch_error_names_its_dispatch(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        linker = make_linker(output_dir=tmp_path)
+        out = self.drive(linker, "attach FileInput\ncfg FileInput define SourceFile nothere.txt\n"
+                                 "framework run Reset\nquit\n")
+        assert out == ("error: <input>:1: cannot read nothere.txt: No such file or directory "
+                       "(dispatching Reset to FileInput)\n")
+
     def test_source_of_missing_file_is_printed_not_fatal(self, tmp_path):
         linker = make_linker(output_dir=tmp_path)
         out = self.drive(linker, "source nope.mac\nattach Fork\ndump\nquit\n")
@@ -532,6 +559,16 @@ def test_repl_subcommand_reads_stdin(tmp_path):
         input="attach Fork\ndump\nquit\n", capture_output=True, text=True)
     assert finished.returncode == 0
     assert "attach Fork" in finished.stdout
+
+
+@pytest.mark.parametrize("flags, written", [(("--check",), False),
+                                            (("--run-mode", "dry-run"), True)])
+def test_script_can_be_piped_in(fixtures, tmp_path, flags, written):
+    finished = subprocess.run(
+        [sys.executable, "-m", "runjob", "run", "/dev/stdin", "--out", str(tmp_path), *flags],
+        input=(fixtures / "helloworld.mac").read_text(), capture_output=True, text=True)
+    assert finished.returncode == 0, finished.stderr
+    assert (tmp_path / "composite_HelloWorldScriptGen.sh").exists() == written
 
 
 def test_background_alias_reports_pids(fixtures, tmp_path, capsys):

@@ -233,7 +233,8 @@ class TestRequirements:
         cfg.apply_macro("addreq HelloWorldScriptGen")
         for name in ("French", "German"):
             linker.attach("HelloWorld", name)
-        linker._validate_requirements(cfg)  # must not raise
+        for requirement in cfg.requirements:
+            linker.require_attached(cfg, requirement.pattern)  # must not raise
 
 
 REQUIRE_TYPES = ("A", "B")

@@ -5,7 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from runjob import execute_script, make_linker
-from runjob import linker as linker_module
 from runjob.configurator import Configurator, ConfiguratorDescription, DependencyPattern
 from runjob.errors import (
     AmbiguousIdentifier,
@@ -19,6 +18,7 @@ from runjob.errors import (
     VisibilityViolation,
 )
 from runjob.scriptgen import ScriptObject
+from runjob.trigger_store import current_epoch
 
 
 class NeedsServer(Configurator):
@@ -47,6 +47,14 @@ class TestAttach:
         linker.attach("FileInput")
         linker.attach("NeedsServer")
 
+    def test_requirement_naming_the_attaching_configurator_is_satisfied(self, linker):
+        class NeedsItself(Configurator):
+            STATIC_REQUIREMENTS = (DependencyPattern("NeedsItself"),
+                                   DependencyPattern("NeedsItself", "solo"))
+
+        linker.register_type("NeedsItself", NeedsItself)
+        assert linker.attach("NeedsItself", "solo") == "NeedsItself named solo"
+
     def test_lenient_skips_static_validation(self, lenient_linker):
         lenient_linker.register_type("NeedsServer", NeedsServer)
         lenient_linker.attach("NeedsServer")
@@ -64,15 +72,19 @@ class TestAttach:
         assert linker.attach("NeedsServer", "web") == "NeedsServer named web"
         assert linker.find("web").identifier == "NeedsServer named web"
 
-    def test_attach_and_its_rollback_advance_the_epoch(self, linker, monkeypatch):
-        steps = []
-        monkeypatch.setattr(linker_module, "advance_epoch", lambda: steps.append(1))
-        linker.register_type("NeedsServer", NeedsServer)
-        linker.attach("Step", "probe")
-        assert len(steps) == 1
+    def test_failed_strict_attach_changes_nothing(self, linker):
+        # built before the epoch is read: constructing records its requirements
+        server = NeedsServer(ConfiguratorDescription("NeedsServer"))
+        linker.register_type("NeedsServer", lambda description: server)
+        probe = linker.find(linker.attach("Step", "probe"))
+        epoch, attached = current_epoch(), linker.configurators
         with pytest.raises(UnsatisfiedDependency):
             linker.attach("NeedsServer")
-        assert len(steps) == 3  # once attached, once rolled back
+        assert (current_epoch(), linker.configurators) == (epoch, attached)
+        with pytest.raises(UnknownConfigurator):
+            linker.find("NeedsServer")
+        with pytest.raises(UnsatisfiedDependency):
+            probe.apply_macro("addreq NeedsServer")
 
     def test_strict_is_read_only(self, linker, lenient_linker):
         with pytest.raises(AttributeError):
