@@ -164,9 +164,15 @@ class Fork(Configurator):
                         for obj in composites)
 
     def run_jobs(self, mode: str = "foreground") -> RunReport:
-        """Spawn every path in ExecutableList according to ``mode``."""
+        """Spawn every path in ExecutableList according to ``mode``.  Only a
+        dry run accepts a ScriptGenName whose scriptgen writes no shell."""
         if mode not in RUN_MODES:
             raise RunjobError(f"unknown run mode {mode!r}")
+        name = self.resolve_value("ScriptGenName") if mode != "dry-run" else ""
+        scriptgen = self._linker.find(name) if name else None
+        target = getattr(scriptgen, "script_target", "shell")
+        if target != "shell":
+            raise RunjobError(f"{scriptgen.identifier} writes {target}, not shell")
         import shlex
         try:
             paths = shlex.split(self.resolve_value("ExecutableList"))

@@ -2,12 +2,12 @@
 
 A configurator owns a TriggerStore of key/value metadata, a synonym table,
 declared dependencies on other configurators, framework-message handlers,
-and a chain of macro handlers ending in the base parser (additem, define,
-addreq, synonym, oncall).  Attached to a linker it becomes a namespace and
-is bound to that linker; values defined as references resolve lazily
-through it.  ``resolve_value`` re-walks a reference chain only after
-something that can change its value has changed; constructs run on every
-read.
+and a macro parser (additem, define, addreq, synonym, oncall) that
+subclasses extend with their own verbs.  Attached to a linker it becomes a
+namespace and is bound to that linker; values defined as references
+resolve lazily through it.  ``resolve_value`` re-walks a reference chain
+only after something that can change its value has changed; constructs run
+on every read.
 
 This module also owns the configurator identifier grammar, "Type" or
 "Type named Name" with ``named`` reserved in identifier position.
@@ -230,9 +230,9 @@ class Configurator:
     """Base configurator: metadata store plus macro and framework plumbing.
 
     Subclasses declare schema keys in ``__init__``, register zero-argument
-    framework handlers with :meth:`register_framework_handler`, and extend
-    the macro language with :meth:`add_macro_handler` (new handlers run
-    before the base parser, which always stays last in the chain).
+    framework handlers with :meth:`register_framework_handler`, and add a
+    macro verb by overriding :meth:`parse_macro`, passing the other verbs
+    to ``super()``.
     """
 
     STATIC_REQUIREMENTS: tuple[DependencyPattern, ...] = ()
@@ -245,7 +245,6 @@ class Configurator:
         self._requirements: dict[tuple[str, str | None], Requirement] = {}
         self.delegate: ConfiguratorDescription | None = None  # scriptgen that makes our job
         self._framework_handlers: dict[str, Callable] = {}
-        self._macro_handlers: list[Callable] = [self._base_macro_handler]
         self._stored_commands: dict[str, list[str]] = {}
         self._constructors: dict[str, Callable[[], object]] = {}
         self._definitions: dict[str, _Definition] = {}  # lazy definitions only
@@ -260,7 +259,7 @@ class Configurator:
     @property
     def requirements(self) -> tuple[Requirement, ...]:
         """Declared dependencies, in declaration order; only add_requirement
-        changes them, so resolved values can rely on them."""
+        changes them, and only by adding, so no resolved value goes stale."""
         return tuple(self._requirements.values())
 
     def requires(self, description: ConfiguratorDescription) -> bool:
@@ -279,34 +278,15 @@ class Configurator:
 
     # macro handling
 
-    def add_macro_handler(self, handler: Callable[[list], bool]) -> None:
-        """Insert a macro handler ahead of the base parser.
-
-        A handler takes the token list and returns True when it consumed the
-        macro.  The base parser stays last.
-        """
-        self._macro_handlers.insert(len(self._macro_handlers) - 1, handler)
-
     def apply_macro(self, macro) -> None:
-        """Route one macro command through the handler chain."""
-        tokens = _macro_tokens(macro)
-        for handler in list(self._macro_handlers):
-            if handler(tokens):
-                return
-        raise UnknownMacro(f"{self.identifier}: unknown macro {tokens[0]!r}")
+        """Check one macro command, then apply it."""
+        self.parse_macro(_macro_tokens(macro))()
 
-    def _base_macro_handler(self, tokens: list[str]) -> bool:
-        action = self._parse_base_macro(tokens)
-        if action is None:
-            return False
-        action()
-        return True
+    def parse_macro(self, tokens: list[str]) -> Callable[[], object]:
+        """Shape-check a macro command and return the call that applies it.
 
-    def _parse_base_macro(self, tokens: list[str]) -> Callable[[], object] | None:
-        """Shape-check a base-parser macro and return the call that applies it.
-
-        Returns None for verbs the base parser does not own; their handler
-        validates them when the command runs.
+        A verb this class does not own raises UnknownMacro; a subclass adds
+        a verb by overriding this and passing the others to ``super()``.
         """
         verb = tokens[0]
         if verb == "additem":
@@ -331,9 +311,9 @@ class Configurator:
         if verb == "oncall":
             if len(tokens) < 4 or tokens[2] != "do":
                 raise MacroParseError("usage: oncall <message> do <macro>")
-            self._parse_base_macro(tokens[3:])  # a stored oncall is checked in full
+            self.parse_macro(tokens[3:])  # a stored oncall is checked in full
             return partial(self.store_oncall, tokens[1], tokens[3:])
-        return None
+        raise UnknownMacro(f"{self.identifier}: unknown macro {verb!r}")
 
     # base metadata operations
 
@@ -391,8 +371,8 @@ class Configurator:
             return existing
         if self._linker is not None and self._linker.strict:
             self._linker.require_attached(self, pattern)
-        requirement = self._requirements[pattern] = Requirement(pattern, auto)
-        advance_epoch()
+        # no epoch step: a requirement only widens visibility, and no failure is memoized
+        self._requirements[pattern] = requirement = Requirement(pattern, auto)
         return requirement
 
     def set_synonym(self, key: str, target: tuple[str, str]) -> None:
@@ -406,14 +386,13 @@ class Configurator:
         """Store a macro to run whenever ``message`` is dispatched to us."""
         check_token(message, "message")
         tokens = _macro_tokens(command)
-        self._parse_base_macro(tokens)
+        self.parse_macro(tokens)
         self._stored_commands.setdefault(message, []).append(" ".join(tokens))
 
     def register_construct(self, key: str, fn: Callable[[], object]) -> None:
         """Attach a zero-argument construct function for ``key`` (developer
         API, not reachable from macros)."""
         self._constructors[check_token(key)] = fn
-        advance_epoch()
 
     def register_framework_handler(self, message: str, fn: Callable[[], object]) -> None:
         self._framework_handlers[check_token(message, "message")] = fn

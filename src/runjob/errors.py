@@ -47,7 +47,7 @@ class BackendContractViolation(RunjobError):
 
 # configurators
 class UnknownMacro(RunjobError):
-    """No macro handler, including the base parser, accepted the command."""
+    """The command's verb is not one the configurator's ``parse_macro`` knows."""
 
 
 class MacroParseError(RunjobError):

@@ -329,11 +329,12 @@ class MacroInterpreter:
     def run_file(self, path) -> None:
         text = read_utf8(Path(path).absolute(), ParseError)
         path = Path(path).resolve()  # after the read, which reports an unreadable path
+        name = str(path) if path.is_file() else "<stdin>"  # a pipe sources from the cwd
         if path in self._source_stack:
-            raise SourceCycle(f"{path} is already being sourced", filename=str(path))
+            raise SourceCycle(f"{name} is already being sourced", filename=name)
         self._source_stack.append(path)
         try:
-            self.run_directives(parse_script(text, str(path)), str(path))
+            self.run_directives(parse_script(text, name), name)
         finally:
             self._source_stack.pop()
 

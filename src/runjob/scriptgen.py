@@ -9,6 +9,7 @@ or wraps them into a DAG description via DagGen.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from .configurator import Configurator, ConfiguratorDescription
@@ -64,15 +65,13 @@ class ScriptGen(Configurator):
     def __init__(self, description: ConfiguratorDescription):
         super().__init__(description)
         self.register_framework_handler("MakeScript", self.make_composite)
-        self.add_macro_handler(self._scriptgen_macro_handler)
 
-    def _scriptgen_macro_handler(self, tokens: list[str]) -> bool:
+    def parse_macro(self, tokens: list[str]):
         if tokens[0] != "register":
-            return False
+            return super().parse_macro(tokens)
         if len(tokens) != 2:
             raise MacroParseError("usage: register <configurator-type>")
-        self._linker.register_delegation(self, tokens[1])
-        return True
+        return partial(self._linker.register_delegation, self, tokens[1])
 
     def delegated_make_job(self, delegator: Configurator) -> ScriptObject:
         """Emit one shell fragment for ``delegator`` into the linker repository."""

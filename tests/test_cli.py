@@ -146,6 +146,39 @@ class TestRunCommand:
         assert "both produce 'workflow.dag'" in err
         assert err.endswith("(dispatching MakeScript to DagGen named D2)\n")
 
+    def test_fork_runs_only_shell_composites(self, tmp_path, capsys):
+        script = tmp_path / "dag_fork.mac"
+        script.write_text("attach DagGen named D\n"
+                          "attach Step named A\n"
+                          "cfg D register Step\n"
+                          "cfg A define Executable true\n"
+                          "attach Fork\n"
+                          "cfg Fork define ScriptGenName D\n"
+                          "cfg Fork oncall RunJob do define ExecutableList ::construct\n")
+        for mode in ("foreground", "background"):  # checked before anything is written
+            assert run_cli("run", str(script), "--out", str(tmp_path / mode),
+                           "--run-mode", mode) == 1
+            assert capsys.readouterr().err == ("error: DagGen named D writes dag, not shell "
+                                               "(dispatching RunJob to Fork)\n")
+            assert not (tmp_path / mode).exists()
+        # a dry run still lists and writes the DAG
+        assert run_cli("run", str(script), "--out", str(tmp_path / "dry"),
+                       "--run-mode", "dry-run") == 0
+        assert "workflow.dag" in capsys.readouterr().out
+        assert (tmp_path / "dry" / "workflow.dag").exists()
+
+    @pytest.mark.parametrize("text, error", [
+        ("attach Fork\ncfg Fork oncall RunJob do frobnicate\n",
+         "Fork: unknown macro 'frobnicate'"),
+        ("attach ScriptGen\ncfg ScriptGen oncall MakeScript do register\n",
+         "usage: register <configurator-type>"),
+    ], ids=["unknown verb", "subclass verb"])
+    def test_stored_oncall_is_checked_at_its_line(self, tmp_path, capsys, text, error):
+        script = tmp_path / "oncall.mac"
+        script.write_text(text + "attach Step\n")
+        assert run_cli("run", str(script), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"error: {script}:2: {error}\n"
+
     def test_artifacts_are_utf8_under_an_ascii_locale(self, tmp_path):
         script = tmp_path / "e.mac"
         script.write_text("attach HelloWorldScriptGen\n"
@@ -569,6 +602,25 @@ def test_script_can_be_piped_in(fixtures, tmp_path, flags, written):
         input=(fixtures / "helloworld.mac").read_text(), capture_output=True, text=True)
     assert finished.returncode == 0, finished.stderr
     assert (tmp_path / "composite_HelloWorldScriptGen.sh").exists() == written
+
+
+@pytest.mark.parametrize("text, flags, error", [
+    ("source inc.mac\n", ("--check",), ""),
+    ("source inc.mac\n", ("--run-mode", "dry-run"), ""),
+    ("attach Nope\n", ("--run-mode", "dry-run"),
+     "error: <stdin>:1: unknown configurator type 'Nope'\n"),
+    ("source /dev/stdin\n", ("--check",), "error: <stdin>:1: <stdin> is already being sourced\n"),
+], ids=["source --check", "source dry-run", "error", "cycle"])
+def test_piped_script_is_stdin_and_sources_from_the_working_directory(tmp_path, text, flags,
+                                                                      error):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    (tmp_path / "inc.mac").write_text("attach Fork\n")
+    finished = subprocess.run(
+        [sys.executable, "-m", "runjob", "run", "/dev/stdin", "--out", "out", *flags],
+        input=text, capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert (finished.returncode, finished.stderr) == ((1 if error else 0), error)
 
 
 def test_background_alias_reports_pids(fixtures, tmp_path, capsys):

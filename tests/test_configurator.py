@@ -151,13 +151,11 @@ class Custom(Configurator):
     def __init__(self, description):
         super().__init__(description)
         self.handled = []
-        self.add_macro_handler(self._custom)
 
-    def _custom(self, tokens):
+    def parse_macro(self, tokens):
         if tokens[0] != "frobnicate":
-            return False
-        self.handled.append(tokens)
-        return True
+            return super().parse_macro(tokens)
+        return lambda: self.handled.append(tokens)
 
 
 class TestApplyMacro:
@@ -175,11 +173,12 @@ class TestApplyMacro:
         cfg.apply_macro("frobnicate hard")
         assert cfg.handled == [["frobnicate", "hard"]]
 
-    def test_base_parser_not_invoked_for_macros_a_handler_accepts(self):
+    def test_base_parser_not_invoked_for_macros_a_handler_accepts(self, monkeypatch):
         cfg = Custom(ConfiguratorDescription("Custom"))
         calls = []
-        original = cfg._base_macro_handler
-        cfg._macro_handlers[-1] = lambda tokens: calls.append(tokens) or original(tokens)
+        original = Configurator.parse_macro
+        monkeypatch.setattr(Configurator, "parse_macro",
+                            lambda self, tokens: calls.append(tokens) or original(self, tokens))
         cfg.apply_macro("frobnicate")
         assert calls == []
         cfg.apply_macro("additem x")
@@ -327,6 +326,16 @@ class TestOncall:
         with pytest.raises(MacroParseError):
             cfg.apply_macro("oncall Tick do synonym InFile literal")
         assert cfg.dump_commands() == ["additem HelloMessage"]  # nothing was stored
+
+    def test_stored_command_is_checked_with_the_subclass_verbs(self):
+        with pytest.raises(UnknownMacro, match="Box: unknown macro 'frobnicate'"):
+            bare().apply_macro("oncall Tick do frobnicate")
+        cfg = Custom(ConfiguratorDescription("Custom"))
+        cfg.apply_macro("oncall Tick do frobnicate hard")
+        with pytest.raises(UnknownMacro):
+            cfg.store_oncall("Tick", "unfrobnicate")
+        cfg.handle_framework("Tick")
+        assert cfg.handled == [["frobnicate", "hard"]]
 
     def test_never_dispatched_never_runs(self, linker):
         cfg = linker.find(linker.attach("HelloWorld", "English"))
@@ -482,16 +491,18 @@ class TestResolveValue:
                     head.resolve_value("v")
                 assert len(calls) == 3
 
-    @pytest.mark.parametrize("mutate", [
-        lambda cfg: cfg.set_synonym("k", ("X", "k")),
-        lambda cfg: cfg.add_requirement(DependencyPattern("Step")),
-        lambda cfg: cfg.register_construct("k", lambda: ""),
+    # only a mutation that can change a memoized value advances the epoch: a
+    # requirement only widens visibility and a construct read is never memoized
+    @pytest.mark.parametrize("mutate, advances", [
+        (lambda cfg: cfg.set_synonym("k", ("X", "k")), True),
+        (lambda cfg: cfg.add_requirement(DependencyPattern("Step")), False),
+        (lambda cfg: cfg.register_construct("k", lambda: ""), False),
     ], ids=["set_synonym", "add_requirement", "register_construct"])
-    def test_mutations_advance_the_epoch(self, mutate):
+    def test_mutations_advance_the_epoch(self, mutate, advances):
         cfg = bare()
         before = current_epoch()
         mutate(cfg)
-        assert current_epoch() > before
+        assert (current_epoch() > before) is advances
 
     def test_requirements_change_only_through_add_requirement(self):
         cfg = bare()

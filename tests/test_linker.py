@@ -86,6 +86,15 @@ class TestAttach:
         with pytest.raises(UnsatisfiedDependency):
             probe.apply_macro("addreq NeedsServer")
 
+    def test_failed_strict_attach_leaves_the_epoch(self, linker):
+        linker.register_type("NeedsServer", NeedsServer)
+        linker.attach("ScriptGen")
+        linker.route("ScriptGen", "register NeedsServer")
+        epoch = current_epoch()  # read before the configurator is built
+        with pytest.raises(UnsatisfiedDependency):
+            linker.attach("NeedsServer")
+        assert current_epoch() == epoch
+
     def test_strict_is_read_only(self, linker, lenient_linker):
         with pytest.raises(AttributeError):
             linker.strict = False
