@@ -2,11 +2,17 @@
 
 Exit codes: 0 success, 1 script/runtime error (message carries file:line
 when known), 2 usage error.
+
+The parser is built once, by the first :func:`main` call, and ``RUNJOB_LENIENT_DEPS``
+is read per call.  ``run`` holds the collector's first threshold at
+:data:`RUN_GC_THRESHOLD` until it returns; the REPL and library calls do not.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import os
 import sys
 from pathlib import Path
@@ -19,8 +25,11 @@ from .scriptgen import DAG_FILENAME, build_dag
 
 DEFAULT_FRAMEWORK = ("Reset", "MakeJob", "MakeScript", "RunJob")
 LENIENT_ENV_VAR = "RUNJOB_LENIENT_DEPS"
+# a plan frees few of the objects it builds, so young collections would rescan them
+RUN_GC_THRESHOLD = 200_000
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="runjob",
@@ -55,7 +64,6 @@ def _common_flags(parser) -> None:
     parser.add_argument("--out", metavar="DIR", default=".",
                         help="output directory for materialized artifacts")
     parser.add_argument("--lenient-deps", action="store_true",
-                        default=os.environ.get(LENIENT_ENV_VAR) == "1",
                         help="disable dependency checking and namespace visibility "
                              f"rules (also via {LENIENT_ENV_VAR}=1)")
     parser.add_argument("--run-mode", choices=RUN_MODES, default="foreground")
@@ -80,11 +88,22 @@ def main(argv=None) -> int:
 
 
 def _new_linker(args) -> Linker:
-    return make_linker(strict=not args.lenient_deps, output_dir=Path(args.out),
-                       run_mode=args.run_mode)
+    lenient = args.lenient_deps or os.environ.get(LENIENT_ENV_VAR) == "1"
+    return make_linker(strict=not lenient, output_dir=Path(args.out), run_mode=args.run_mode)
 
 
 def run_script(args) -> int:
+    """:func:`_run_or_check` with the collector's first threshold raised until it returns."""
+    thresholds = gc.get_threshold()
+    if 0 < thresholds[0] < RUN_GC_THRESHOLD:  # a first threshold of 0 turns collection off
+        gc.set_threshold(RUN_GC_THRESHOLD, *thresholds[1:])
+    try:
+        return _run_or_check(args)
+    finally:
+        gc.set_threshold(*thresholds)
+
+
+def _run_or_check(args) -> int:
     """Run (or with ``--check`` only check) the script named by parsed ``run`` arguments."""
     if args.check:
         check_script(args.script)

@@ -245,7 +245,8 @@ class Configurator:
         self._requirements: dict[tuple[str, str | None], Requirement] = {}
         self.delegate: ConfiguratorDescription | None = None  # scriptgen that makes our job
         self._framework_handlers: dict[str, Callable] = {}
-        self._stored_commands: dict[str, list[str]] = {}
+        # per message: (command text, the call that applies it), in storing order
+        self._stored_commands: dict[str, list[tuple[str, Callable[[], object]]]] = {}
         self._constructors: dict[str, Callable[[], object]] = {}
         self._definitions: dict[str, _Definition] = {}  # lazy definitions only
         self._linker = None
@@ -311,8 +312,8 @@ class Configurator:
         if verb == "oncall":
             if len(tokens) < 4 or tokens[2] != "do":
                 raise MacroParseError("usage: oncall <message> do <macro>")
-            self.parse_macro(tokens[3:])  # a stored oncall is checked in full
-            return partial(self.store_oncall, tokens[1], tokens[3:])
+            call = self.parse_macro(tokens[3:])  # a stored oncall is checked in full
+            return partial(self._store_call, tokens[1], " ".join(tokens[3:]), call)
         raise UnknownMacro(f"{self.identifier}: unknown macro {verb!r}")
 
     # base metadata operations
@@ -384,10 +385,12 @@ class Configurator:
 
     def store_oncall(self, message: str, command) -> None:
         """Store a macro to run whenever ``message`` is dispatched to us."""
-        check_token(message, "message")
         tokens = _macro_tokens(command)
-        self.parse_macro(tokens)
-        self._stored_commands.setdefault(message, []).append(" ".join(tokens))
+        self._store_call(message, " ".join(tokens), self.parse_macro(tokens))
+
+    def _store_call(self, message: str, text: str, call: Callable[[], object]) -> None:
+        check_token(message, "message")
+        self._stored_commands.setdefault(message, []).append((text, call))
 
     def register_construct(self, key: str, fn: Callable[[], object]) -> None:
         """Attach a zero-argument construct function for ``key`` (developer
@@ -404,8 +407,8 @@ class Configurator:
         MakeJob to the delegate, the registered handler, or nothing."""
         stored = self._stored_commands.get(message)
         if stored:
-            for command in list(stored):  # a command may store another oncall
-                self.apply_macro(command)
+            for _, call in list(stored):  # a command may store another oncall
+                call()
         if message == "MakeJob" and self.delegate is not None:
             self._linker.find_by_description(self.delegate).delegated_make_job(self)
             return Outcome("Delegated", self.delegate)
@@ -494,8 +497,8 @@ class Configurator:
         for key, (identifier, remote_key) in self._synonyms.items():
             lines.append(f"synonym {key} ::{identifier}:{remote_key}")
         for message, commands in self._stored_commands.items():
-            for command in commands:
-                lines.append(f"oncall {message} do {command}")
+            for text, _ in commands:
+                lines.append(f"oncall {message} do {text}")
         return lines
 
 

@@ -84,10 +84,11 @@ class Linker:
     def attach(self, type_name: str, instance_name: str | None = None) -> str:
         """Instantiate and append a configurator; returns its identifier.
 
-        The configurator is built, delegated and, in strict mode, checked
-        against the attached set before the linker records it, so a failed
-        attach leaves the linker as it was.  A requirement naming the new
-        configurator itself is satisfied.
+        The configurator is built, checked in strict mode against the
+        attached set, then delegated, before the linker records it, so a
+        failed attach leaves the linker as it was.  The check covers the
+        requirements its class declares (one naming the new configurator
+        itself is satisfied); ``add_requirement`` checks each delegation's.
         """
         factory = self._types.get(type_name)
         if factory is None:
@@ -98,13 +99,13 @@ class Linker:
             raise DuplicateIdentifier(f"{key!r} is already attached")
         cfg = factory(description)
         cfg.bind(self)
-        for scriptgen, delegator_type in self._registrations:
-            if delegator_type == type_name:
-                self._delegate(cfg, scriptgen)
         if self.strict:
             for requirement in cfg.requirements:
                 if requirement.pattern not in ((type_name, None), description):
                     self.require_attached(cfg, requirement.pattern)
+        for scriptgen, delegator_type in self._registrations:
+            if delegator_type == type_name:
+                self._delegate(cfg, scriptgen)
         self._configurators[key] = cfg
         self._by_instance[description.instance_name].append(cfg)
         self._type_counts[type_name] += 1
@@ -299,7 +300,9 @@ def write_atomically(path: Path, text: str) -> Path:
         if path.suffix == ".sh":
             temp.chmod(0o755)
         os.replace(temp, path)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
+    except OSError as exc:
+        raise RunjobError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        if temp.exists():  # false after the rename, and where no directory holds it
+            temp.unlink()
     return path

@@ -1,6 +1,7 @@
 """CLI behavior: batch runs, check mode, targets, dumps, REPL, exit codes."""
 
 import contextlib
+import gc
 import io
 import os
 import shutil
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from runjob import make_linker
-from runjob.cli import main, repl
+from runjob import cli, make_linker
+from runjob.cli import LENIENT_ENV_VAR, main, repl
 
 
 def run_cli(*args):
@@ -301,6 +302,23 @@ class TestRunCommand:
                                            "(a name may not hold '/' or NUL)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["dump into a missing directory",
+                                      "composite over a directory"])
+    def test_failed_write_names_the_requested_file(self, fixtures, tmp_path, monkeypatch,
+                                                   capsys, case):
+        monkeypatch.chdir(tmp_path)
+        script = str(fixtures / "helloworld.mac")
+        if case == "dump into a missing directory":
+            code = run_cli("run", script, "--no-framework", "--dump", "nodir/x.mac")
+            error = "error: cannot write nodir/x.mac: No such file or directory\n"
+        else:
+            (tmp_path / "o" / "composite_HelloWorldScriptGen.sh").mkdir(parents=True)
+            code = run_cli("run", script, "--out", "o", "--run-mode", "dry-run")
+            error = ("error: cannot write o/composite_HelloWorldScriptGen.sh: Is a directory "
+                     "(dispatching RunJob to Fork)\n")
+        assert (code, capsys.readouterr().err) == (1, error)
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_usage_error_exits_two(self, capsys):
         assert run_cli("run") == 2
         assert run_cli("frobnicate") == 2
@@ -408,6 +426,16 @@ class TestVisibilityFlags:
         path = self.write_script(tmp_path)
         monkeypatch.setenv("RUNJOB_LENIENT_DEPS", "1")
         assert run_cli("run", str(path), "--out", str(tmp_path / "b")) == 0
+
+    def test_lenient_env_var_is_read_on_every_call(self, tmp_path, monkeypatch, capsys):
+        # the parser outlives a call, so it must not keep the variable's value
+        argv = ("run", str(self.write_script(tmp_path)), "--out", str(tmp_path / "b"))
+        monkeypatch.delenv(LENIENT_ENV_VAR, raising=False)
+        assert run_cli(*argv) == 1
+        monkeypatch.setenv(LENIENT_ENV_VAR, "1")
+        assert run_cli(*argv) == 0
+        monkeypatch.delenv(LENIENT_ENV_VAR)
+        assert run_cli(*argv) == 1
 
 
 class TestRepl:
@@ -539,8 +567,8 @@ def test_planning_loads_no_dataclasses_inspect_or_subprocess(fixtures, tmp_path)
     assert (tmp_path / "composite_HelloWorldScriptGen.sh").exists()
 
 
-def run_reference_chain(tmp_path, depth, attach_order):
-    """Run a chain S0 <- S1 <- ... in which each Step's InputFile references
+def write_reference_chain(tmp_path, depth, attach_order) -> Path:
+    """Write a chain S0 <- S1 <- ... in which each Step's InputFile references
     its predecessor's, attached (and so asked for its job) in ``attach_order``."""
     lines = ["attach ScriptGen", "cfg ScriptGen register Step"]
     lines += [f"attach Step named S{i}" for i in attach_order]
@@ -552,6 +580,12 @@ def run_reference_chain(tmp_path, depth, attach_order):
                   f"cfg Step named S{i} define InputFile ::S{i - 1}:InputFile"]
     script = tmp_path / "deep.mac"
     script.write_text("\n".join(lines) + "\n")
+    return script
+
+
+def run_reference_chain(tmp_path, depth, attach_order):
+    """Run :func:`write_reference_chain`'s script in a child interpreter."""
+    script = write_reference_chain(tmp_path, depth, attach_order)
     return subprocess.run(
         [sys.executable, "-m", "runjob", "run", str(script), "--out", str(tmp_path / "build"),
          "--run-mode", "dry-run"],
@@ -579,6 +613,66 @@ def test_in_order_deep_reference_chain_resolves(tmp_path):
     composite = (tmp_path / "build" / "composite_ScriptGen.sh").read_text()
     fragments = [line for line in composite.splitlines() if line.startswith('"cat"')]
     assert fragments == ['"cat" < "root.in"'] * depth
+
+
+def test_a_run_starts_no_collection_over_its_objects(tmp_path, capsys):
+    script = str(write_reference_chain(tmp_path, 1500, range(1500)))
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        assert run_cli("run", script, "--check") == 0
+        assert run_cli("run", script, "--no-framework", "--out", str(tmp_path / "o")) == 0
+    finally:
+        gc.callbacks.remove(count)
+    # at most the one that restoring the threshold sets off, per call
+    assert len(started) <= 2, started
+
+
+# the last two cases guard thresholds that a run must leave as they are
+@pytest.mark.parametrize("first, during", [(700, 200_000), (0, 0), (10**6, 10**6)],
+                         ids=["raised", "collection off stays off", "higher stays"])
+def test_a_run_only_raises_the_first_threshold(fixtures, monkeypatch, first, during):
+    seen = []
+    monkeypatch.setattr(cli, "check_script", lambda path: seen.append(gc.get_threshold()))
+    before = gc.get_threshold()
+    gc.set_threshold(first, 9, 8)
+    try:
+        assert run_cli("run", str(fixtures / "helloworld.mac"), "--check") == 0
+        assert gc.get_threshold() == (first, 9, 8)
+    finally:
+        gc.set_threshold(*before)
+    assert seen == [(during, 9, 8)]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("run", "helloworld.mac", "--run-mode", "dry-run"), 0),
+    (("run", "dangling.mac"), 1),
+    (("run", "helloworld.mac", "--target", "nope"), 2),
+], ids=["success", "script error", "usage error"])
+def test_collector_thresholds_are_restored(fixtures, tmp_path, monkeypatch, capsys, argv, code):
+    # a guard: the thresholds a call leaves are the ones it found
+    monkeypatch.chdir(tmp_path)
+    before = gc.get_threshold()
+    assert run_cli(argv[0], str(fixtures / argv[1]), *argv[2:]) == code
+    assert gc.get_threshold() == before
+
+
+def test_the_parser_serves_every_call(fixtures, capsys):
+    # a guard: one call's usage error or help leaves the next call unchanged
+    assert run_cli("run", "--target", "nope") == 2
+    assert run_cli("run", str(fixtures / "helloworld.mac"), "--check") == 0
+    helps = []
+    for _ in range(2):
+        capsys.readouterr()
+        assert run_cli("run", "-h") == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert "--lenient-deps" in helps[0]
 
 
 def test_repl_has_no_target_option(capsys):

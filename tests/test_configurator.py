@@ -337,6 +337,22 @@ class TestOncall:
         cfg.handle_framework("Tick")
         assert cfg.handled == [["frobnicate", "hard"]]
 
+    def test_stored_command_is_parsed_once(self, linker, monkeypatch):
+        cfg = linker.find(linker.attach("HelloWorld", "English"))
+        parsed = []
+        original = Configurator.parse_macro
+        monkeypatch.setattr(Configurator, "parse_macro",
+                            lambda self, tokens: parsed.append(tokens) or original(self, tokens))
+        cfg.apply_macro("oncall Tick do define HelloMessage hi")
+        assert parsed == [["oncall", "Tick", "do", "define", "HelloMessage", "hi"],
+                          ["define", "HelloMessage", "hi"]]
+        parsed.clear()
+        for _ in range(3):
+            cfg.handle_framework("Tick")
+        assert parsed == []
+        assert cfg.store.untriggered_read("HelloMessage") == "hi"
+        assert cfg.dump_commands()[-1] == "oncall Tick do define HelloMessage hi"
+
     def test_never_dispatched_never_runs(self, linker):
         cfg = linker.find(linker.attach("HelloWorld", "English"))
         cfg.apply_macro("oncall Tick do define HelloMessage boom")

@@ -95,6 +95,17 @@ class TestAttach:
             linker.attach("NeedsServer")
         assert current_epoch() == epoch
 
+    def test_each_strict_requirement_is_checked_once(self, linker, monkeypatch):
+        linker.attach("HelloWorldScriptGen")
+        linker.route("HelloWorldScriptGen", "register HelloWorld")
+        checked = []
+        original = type(linker).require_attached
+        monkeypatch.setattr(type(linker), "require_attached",
+                            lambda self, cfg, pattern: checked.append(pattern)
+                            or original(self, cfg, pattern))
+        attached = [linker.find(linker.attach("HelloWorld", f"H{i}")) for i in range(200)]
+        assert len(checked) == sum(len(cfg.requirements) for cfg in attached) == 200
+
     def test_strict_is_read_only(self, linker, lenient_linker):
         with pytest.raises(AttributeError):
             linker.strict = False
