@@ -15,7 +15,7 @@ from .configurator import Configurator, ConfiguratorDescription
 from .errors import InvalidKey, MalformedLine, RunjobError, SpawnFailure
 from .linker import Linker
 from .macro_lang import read_utf8, split_lines
-from .scriptgen import DagGen, ScriptGen, shell_quote
+from .scriptgen import DagGen, ScriptGen, named_scriptgen, shell_quote
 from .trigger_store import check_token
 
 RUN_MODES = ("foreground", "background", "dry-run")
@@ -24,9 +24,7 @@ RUN_MODES = ("foreground", "background", "dry-run")
 class HelloWorld(Configurator):
     """Greets with its HelloMessage; job generation is delegated."""
 
-    def __init__(self, description: ConfiguratorDescription):
-        super().__init__(description)
-        self.add_item("HelloMessage")
+    SCHEMA = ("HelloMessage",)
 
     def fragment_payload(self) -> str:
         message = self.resolve_value("HelloMessage")
@@ -43,11 +41,6 @@ class Step(Configurator):
     OutputFile, with extra Args spliced onto the command line."""
 
     SCHEMA = ("Executable", "InputFile", "OutputFile", "Args")
-
-    def __init__(self, description: ConfiguratorDescription):
-        super().__init__(description)
-        for key in self.SCHEMA:
-            self.add_item(key)
 
     def fragment_payload(self) -> str:
         executable = self.resolve_value("Executable")
@@ -69,13 +62,12 @@ class Step(Configurator):
 class FileInput(Configurator):
     """Metadata server backed by a key=value file, reloaded on every Reset."""
 
-    def __init__(self, description: ConfiguratorDescription):
-        super().__init__(description)
-        self.add_item("SourceFile")
+    SCHEMA = ("SourceFile",)
 
-    def on_reset(self) -> None:
-        if self.resolve_value("SourceFile"):
+    def on_message(self, message: str) -> bool:
+        if message == "Reset" and self.resolve_value("SourceFile"):
             self.load()
+        return super().on_message(message)
 
     def load(self) -> int:
         """Read SourceFile into the store (untriggered); returns pair count."""
@@ -136,30 +128,31 @@ class Fork(Configurator):
     ::construct, so the list is rebuilt (and the composites rematerialized)
     on every run."""
 
+    SCHEMA = ("ScriptGenName", "ExecutableList")
+
     def __init__(self, description: ConfiguratorDescription):
         super().__init__(description)
-        self.add_item("ScriptGenName")
-        self.add_item("ExecutableList")
         self.register_construct("ExecutableList", self._collect_composite_paths)
-        self.register_framework_handler("RunJob", self._handle_run_job)
         self.last_run_report: RunReport | None = None
         self.jobs: list = []  # background processes, kept until someone waits on them
 
-    def _handle_run_job(self) -> None:
-        self.last_run_report = self.run_jobs(self._linker.run_mode)
-
-    def on_reset(self) -> None:
-        self.last_run_report = None
+    def on_message(self, message: str) -> bool:
+        if message == "RunJob":
+            self.last_run_report = self.run_jobs(self._linker.run_mode)
+            return True
+        if message == "Reset":
+            self.last_run_report = None
+        return super().on_message(message)
 
     def _collect_composite_paths(self) -> str:
         """Construct for ExecutableList: materialize and list the named
         scriptgen's composites, in emission order."""
-        name = self.resolve_value("ScriptGenName")
-        if not name:
+        scriptgen = named_scriptgen(self)
+        if scriptgen is None:
             return ""
         import shlex  # here, like subprocess in run_jobs, so start-up never loads it
         composites = self._linker.collect_script_objects(
-            producer=self._linker.find(name).description, kind="composite")
+            producer=scriptgen.description, kind="composite")
         return " ".join(shlex.quote(str(self._linker.materialize(obj.filename, obj.payload)))
                         for obj in composites)
 
@@ -168,9 +161,8 @@ class Fork(Configurator):
         dry run accepts a ScriptGenName whose scriptgen writes no shell."""
         if mode not in RUN_MODES:
             raise RunjobError(f"unknown run mode {mode!r}")
-        name = self.resolve_value("ScriptGenName") if mode != "dry-run" else ""
-        scriptgen = self._linker.find(name) if name else None
-        target = getattr(scriptgen, "script_target", "shell")
+        scriptgen = named_scriptgen(self) if mode != "dry-run" else None
+        target = "shell" if scriptgen is None else scriptgen.script_target
         if target != "shell":
             raise RunjobError(f"{scriptgen.identifier} writes {target}, not shell")
         import shlex

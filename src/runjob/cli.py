@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .builtins import RUN_MODES, make_linker
 from .errors import IncompleteInput, RunjobError
-from .linker import Linker, write_atomically
+from .linker import Linker, cannot_write, write_atomically
 from .macro_lang import MacroInterpreter, check_script, execute_file, parse_script
 from .scriptgen import DAG_FILENAME, build_dag
 
@@ -122,7 +122,10 @@ def _run_or_check(args) -> int:
         elif args.dump is not None:
             path, text = Path(args.dump), linker.dump_state(resolve=args.resolve)
             if path.is_symlink() or path.exists() and not path.is_file():
-                path.write_text(text, encoding="utf-8")  # a link, pipe or device: write through
+                try:  # a link, pipe or device: write through
+                    path.write_text(text, encoding="utf-8")
+                except OSError as exc:
+                    raise cannot_write(path, exc) from None
             else:
                 write_atomically(path, text)
             print(f"wrote {args.dump}")
@@ -212,10 +215,10 @@ def repl(linker: Linker, input_stream=None, output=None) -> None:
             except RunjobError as exc:
                 out.write(f"error: {exc}\n")
             else:
+                interpreter = MacroInterpreter(linker)
                 try:
-                    records_before = len(linker.dispatch_log)
-                    MacroInterpreter(linker).run_directives(directives, None)
-                    for record in linker.dispatch_log[records_before:]:
+                    interpreter.run_directives(directives, None)
+                    for record in interpreter.dispatches:
                         out.write(f"{record.message} {record.description.identifier}: "
                                   f"{record.outcome}\n")
                     print_run_reports(linker, out)

@@ -1,13 +1,13 @@
 """Configurators: named metadata packages that describe one workflow step.
 
 A configurator owns a TriggerStore of key/value metadata, a synonym table,
-declared dependencies on other configurators, framework-message handlers,
-and a macro parser (additem, define, addreq, synonym, oncall) that
-subclasses extend with their own verbs.  Attached to a linker it becomes a
-namespace and is bound to that linker; values defined as references
-resolve lazily through it.  ``resolve_value`` re-walks a reference chain
-only after something that can change its value has changed; constructs run
-on every read.
+declared dependencies, stored ``oncall`` commands and a macro parser.  A
+type lists its keys in ``SCHEMA`` and overrides ``parse_macro`` to add
+verbs and ``on_message`` to answer framework messages, passing the rest to
+``super()``.  Attached to a linker it becomes a namespace and is bound to
+that linker; values defined as references resolve lazily through it.
+``resolve_value`` re-walks a reference chain only after something that can
+change its value has changed; constructs run on every read.
 
 This module also owns the configurator identifier grammar, "Type" or
 "Type named Name" with ``named`` reserved in identifier position.
@@ -229,12 +229,13 @@ class _Definition:
 class Configurator:
     """Base configurator: metadata store plus macro and framework plumbing.
 
-    Subclasses declare schema keys in ``__init__``, register zero-argument
-    framework handlers with :meth:`register_framework_handler`, and add a
-    macro verb by overriding :meth:`parse_macro`, passing the other verbs
-    to ``super()``.
+    A subclass lists its keys in ``SCHEMA``, in store order, adds a macro
+    verb by overriding :meth:`parse_macro` and answers a framework message
+    by overriding :meth:`on_message`; both pass what they do not own to
+    ``super()``.
     """
 
+    SCHEMA: tuple[str, ...] = ()  # keys declared, in this order, on every instance
     STATIC_REQUIREMENTS: tuple[DependencyPattern, ...] = ()
 
     def __init__(self, description: ConfiguratorDescription):
@@ -244,12 +245,13 @@ class Configurator:
         # by pattern, in declaration order; a pattern is a (type, name or None) key
         self._requirements: dict[tuple[str, str | None], Requirement] = {}
         self.delegate: ConfiguratorDescription | None = None  # scriptgen that makes our job
-        self._framework_handlers: dict[str, Callable] = {}
         # per message: (command text, the call that applies it), in storing order
         self._stored_commands: dict[str, list[tuple[str, Callable[[], object]]]] = {}
         self._constructors: dict[str, Callable[[], object]] = {}
         self._definitions: dict[str, _Definition] = {}  # lazy definitions only
         self._linker = None
+        for key in self.SCHEMA:
+            self.add_item(key)
         for pattern in self.STATIC_REQUIREMENTS:
             self.add_requirement(pattern)
 
@@ -397,14 +399,11 @@ class Configurator:
         API, not reachable from macros)."""
         self._constructors[check_token(key)] = fn
 
-    def register_framework_handler(self, message: str, fn: Callable[[], object]) -> None:
-        self._framework_handlers[check_token(message, "message")] = fn
-
     # framework dispatch
 
     def handle_framework(self, message: str) -> Outcome:
-        """Dispatch one framework message: stored commands first, then either
-        MakeJob to the delegate, the registered handler, or nothing."""
+        """Dispatch one framework message: stored commands first, then MakeJob
+        to the delegate or :meth:`on_message`.  Skipped means no side effects."""
         stored = self._stored_commands.get(message)
         if stored:
             for _, call in list(stored):  # a command may store another oncall
@@ -412,22 +411,14 @@ class Configurator:
         if message == "MakeJob" and self.delegate is not None:
             self._linker.find_by_description(self.delegate).delegated_make_job(self)
             return Outcome("Delegated", self.delegate)
-        handler = self._framework_handlers.get(message)
-        if handler is None and message == "Reset":
-            handler = self._handle_reset  # built in; a registered Reset handler replaces it
-        if handler is not None:
-            handler()
-            return HANDLED
-        # Stored commands count as handling; Skipped must mean no side effects.
-        return HANDLED if stored else SKIPPED
+        return HANDLED if self.on_message(message) or stored else SKIPPED
 
-    def _handle_reset(self) -> None:
-        if self._linker is not None:
+    def on_message(self, message: str) -> bool:
+        """Answer ``message`` and return True, or return False to skip it.
+        Reset drops our script objects; an override passes the rest to super()."""
+        if message == "Reset" and self._linker is not None:
             self._linker.remove_script_objects(producer=self.description)
-        self.on_reset()
-
-    def on_reset(self) -> None:
-        """Subclass hook run on every Reset dispatch."""
+        return message == "Reset"
 
     # resolution
 
@@ -473,8 +464,7 @@ class Configurator:
             del _resolving[frame]
 
     def fragment_payload(self) -> str:
-        raise NotImplementedError(
-            f"{type(self).__name__} does not generate script fragments")
+        raise RunjobError(f"{self.identifier} does not generate script fragments")
 
     # state dump support
 

@@ -2,7 +2,7 @@
 
 All errors raised on purpose derive from RunjobError.  The macro executor
 fills in ``filename``/``lineno`` when an error surfaces while running a
-script, and the linker sets ``dispatch_context`` when a framework handler
+script, and the linker sets ``dispatch_context`` when a framework dispatch
 fails, so the message carries where the failure happened.
 """
 

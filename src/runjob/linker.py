@@ -57,7 +57,6 @@ class Linker:
         self.repository: dict[str, ScriptObject] = {}  # by file name, in emission order
         self._files: dict[ConfiguratorDescription, tuple[str, ...]] = {}  # by producer
         self.framework_groups: dict[str, list[str]] = {}
-        self.dispatch_log: list[DispatchRecord] = []
         self._strict = bool(strict)
         self.output_dir = Path(output_dir)
         self.run_mode = run_mode
@@ -190,11 +189,11 @@ class Linker:
 
         Tokens naming a framework group expand to the group's messages.  The
         first handler error aborts the run, annotated with the failing
-        configurator's description.
+        configurator's description.  The records go to the caller only.
         """
         expanded = [expansion for message in messages
                     for expansion in self.framework_groups.get(message, [message])]
-        start = len(self.dispatch_log)
+        records = []
         for message in expanded:
             for cfg in list(self._configurators.values()):
                 try:
@@ -202,8 +201,8 @@ class Linker:
                 except RunjobError as exc:
                     exc.dispatch_context = (message, cfg.identifier)
                     raise
-                self.dispatch_log.append(DispatchRecord(message, cfg.description, outcome))
-        return self.dispatch_log[start:]
+                records.append(DispatchRecord(message, cfg.description, outcome))
+        return records
 
     def define_group(self, name: str, messages) -> None:
         self.framework_groups[name] = list(messages)
@@ -262,9 +261,8 @@ class Linker:
 
     def materialize(self, name: str, text: str) -> Path:
         """Write ``text`` atomically as file ``name`` under the output
-        directory and return its path."""
-        self.output_dir.mkdir(parents=True, exist_ok=True)
-        return write_atomically(self.output_dir / name, text)
+        directory, made if missing, and return its path."""
+        return write_atomically(self.output_dir / name, text, make_parent=True)
 
     # declarative dump
 
@@ -288,21 +286,28 @@ class Linker:
         return "\n".join(lines) + "\n"
 
 
-def write_atomically(path: Path, text: str) -> Path:
+def write_atomically(path: Path, text: str, make_parent: bool = False) -> Path:
     """Write ``text`` as UTF-8 to a temporary file beside ``path`` and rename
     it over ``path``, so a reader never sees a partial file and a hard link
     to the old file keeps the old text.  A ``.sh`` file gets the executable
-    bit."""
+    bit; ``make_parent`` makes the missing directories above ``path`` first."""
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
+        if make_parent and not path.parent.exists():  # a file there fails the open
+            path.parent.mkdir(parents=True, exist_ok=True)
         with open(temp, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         if path.suffix == ".sh":
             temp.chmod(0o755)
         os.replace(temp, path)
     except OSError as exc:
-        raise RunjobError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise cannot_write(path, exc) from None
     finally:
         if temp.exists():  # false after the rename, and where no directory holds it
             temp.unlink()
     return path
+
+
+def cannot_write(path: Path, exc: OSError) -> RunjobError:
+    """The error for a failed write, naming the file asked for."""
+    return RunjobError(f"cannot write {path}: {exc.strerror or exc}")

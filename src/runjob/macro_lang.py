@@ -325,6 +325,7 @@ class MacroInterpreter:
     def __init__(self, linker=None):
         self.linker = linker
         self._source_stack: list[Path] = []
+        self.dispatches: list = []  # the records of the framework runs executed here
 
     def run_file(self, path) -> None:
         text = read_utf8(Path(path).absolute(), ParseError)
@@ -358,7 +359,7 @@ class MacroInterpreter:
         elif isinstance(directive, Cfg):
             self.linker.route(directive.identifier, directive.macro)
         elif isinstance(directive, FrameworkRun):
-            self.linker.run_framework(*directive.messages)
+            self.dispatches += self.linker.run_framework(*directive.messages)
         elif isinstance(directive, FrameworkGroup):
             self.linker.define_group(directive.name, directive.messages)
         elif isinstance(directive, Loop):

@@ -13,7 +13,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .configurator import Configurator, ConfiguratorDescription
-from .errors import CyclicWorkflow, MacroParseError
+from .errors import CyclicWorkflow, MacroParseError, RunjobError
 
 SHELL_HEADER = "#!/bin/sh"
 DAG_FILENAME = "workflow.dag"
@@ -62,9 +62,11 @@ class ScriptGen(Configurator):
 
     script_target = "shell"
 
-    def __init__(self, description: ConfiguratorDescription):
-        super().__init__(description)
-        self.register_framework_handler("MakeScript", self.make_composite)
+    def on_message(self, message: str) -> bool:
+        if message != "MakeScript":
+            return super().on_message(message)
+        self.make_composite()
+        return True
 
     def parse_macro(self, tokens: list[str]):
         if tokens[0] != "register":
@@ -98,6 +100,15 @@ class ScriptGen(Configurator):
 
     def composite_filename(self) -> str:
         return f"composite_{self.description.slug}.sh"
+
+
+def named_scriptgen(cfg: Configurator) -> ScriptGen | None:
+    """The scriptgen ``cfg``'s ScriptGenName names, or None when that is empty."""
+    name = cfg.resolve_value("ScriptGenName")
+    scriptgen = cfg._linker.find(name) if name else None
+    if scriptgen is not None and not isinstance(scriptgen, ScriptGen):
+        raise RunjobError(f"{cfg.identifier}: {scriptgen.identifier} is not a scriptgen")
+    return scriptgen
 
 
 def requirement_edges(linker, producers) -> list[tuple[ConfiguratorDescription,
@@ -174,16 +185,12 @@ class DagGen(ScriptGen):
     wrapped.
     """
 
+    SCHEMA = ("ScriptGenName",)
     script_target = "dag"
 
-    def __init__(self, description: ConfiguratorDescription):
-        super().__init__(description)
-        self.add_item("ScriptGenName")
-
     def compose(self) -> str:
-        name = self.resolve_value("ScriptGenName")
-        fragments = self._linker.find(name).fragments() if name else None
-        return build_dag(self._linker, fragments)
+        scriptgen = named_scriptgen(self)
+        return build_dag(self._linker, None if scriptgen is None else scriptgen.fragments())
 
     def composite_filename(self) -> str:
         return DAG_FILENAME

@@ -303,7 +303,9 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["dump into a missing directory",
-                                      "composite over a directory"])
+                                      "composite over a directory",
+                                      "out is a regular file",
+                                      "dump through a dangling link"])
     def test_failed_write_names_the_requested_file(self, fixtures, tmp_path, monkeypatch,
                                                    capsys, case):
         monkeypatch.chdir(tmp_path)
@@ -311,13 +313,44 @@ class TestRunCommand:
         if case == "dump into a missing directory":
             code = run_cli("run", script, "--no-framework", "--dump", "nodir/x.mac")
             error = "error: cannot write nodir/x.mac: No such file or directory\n"
-        else:
+            assert not (tmp_path / "nodir").exists()
+        elif case == "composite over a directory":
             (tmp_path / "o" / "composite_HelloWorldScriptGen.sh").mkdir(parents=True)
             code = run_cli("run", script, "--out", "o", "--run-mode", "dry-run")
             error = ("error: cannot write o/composite_HelloWorldScriptGen.sh: Is a directory "
                      "(dispatching RunJob to Fork)\n")
+        elif case == "out is a regular file":
+            (tmp_path / "ofile").write_text("")
+            code = run_cli("run", script, "--out", "ofile", "--run-mode", "dry-run")
+            error = ("error: cannot write ofile/composite_HelloWorldScriptGen.sh: "
+                     "Not a directory (dispatching RunJob to Fork)\n")
+        else:
+            (tmp_path / "link.mac").symlink_to("nodir/target")
+            code = run_cli("run", script, "--no-framework", "--dump", "link.mac")
+            error = "error: cannot write link.mac: No such file or directory\n"
+            assert not (tmp_path / "nodir").exists()
         assert (code, capsys.readouterr().err) == (1, error)
         assert list(tmp_path.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("text, flags, error", [
+        ("attach ScriptGen\nattach Fork\ncfg ScriptGen register Fork\n", (),
+         "Fork does not generate script fragments (dispatching MakeJob to Fork)"),
+        ("attach Fork\nattach DagGen\ncfg DagGen define ScriptGenName Fork\n", (),
+         "DagGen: Fork is not a scriptgen (dispatching MakeScript to DagGen)"),
+        ("attach Step named S\nattach Fork\ncfg Fork define ScriptGenName S\n",
+         ("--run-mode", "foreground"),
+         "Fork: Step named S is not a scriptgen (dispatching RunJob to Fork)"),
+        ("attach Step named S\nattach Fork\ncfg Fork define ScriptGenName S\n"
+         "cfg Fork oncall RunJob do define ExecutableList ::construct\n",
+         ("--run-mode", "dry-run"),
+         "Fork: Step named S is not a scriptgen (dispatching RunJob to Fork)"),
+    ], ids=["register a Fork", "DagGen names a Fork", "Fork runs a Step",
+            "Fork lists a Step"])
+    def test_miswired_roles_are_clean_errors(self, tmp_path, capsys, text, flags, error):
+        script = tmp_path / "roles.mac"
+        script.write_text(text)
+        assert run_cli("run", str(script), "--out", str(tmp_path / "out"), *flags) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_usage_error_exits_two(self, capsys):
         assert run_cli("run") == 2

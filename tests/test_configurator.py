@@ -23,6 +23,7 @@ from runjob.errors import (
     UnsatisfiedDependency,
     VisibilityViolation,
 )
+from runjob.scriptgen import ScriptObject
 from runjob.trigger_store import GLOBAL_READ, current_epoch, indexed_read
 
 
@@ -156,6 +157,20 @@ class Custom(Configurator):
         if tokens[0] != "frobnicate":
             return super().parse_macro(tokens)
         return lambda: self.handled.append(tokens)
+
+
+class Announcer(Configurator):
+    SCHEMA = ("Text", "Extra")
+
+    def __init__(self, description):
+        super().__init__(description)
+        self.heard = []
+
+    def on_message(self, message):
+        if message != "Announce":
+            return super().on_message(message)
+        self.heard.append(self.resolve_value("Text"))
+        return True
 
 
 class TestApplyMacro:
@@ -387,6 +402,25 @@ class TestHandleFramework:
         cfg = linker.find(linker.attach("HelloWorld", "English"))
         cfg.apply_macro("oncall Tick do additem Extra")
         assert str(cfg.handle_framework("Tick")) == "Handled"
+
+    def test_on_message_override_answers_its_own_message(self, tmp_path):
+        linker = make_linker(types={"Announcer": Announcer}, output_dir=tmp_path)
+        cfg = linker.find(linker.attach("Announcer"))
+        assert list(cfg.store) == ["Text", "Extra"]  # declared from SCHEMA, in order
+        cfg.apply_macro("define Text hi")
+        linker.add_script_object(ScriptObject("job_Announcer.sh", "shell", "true",
+                                              cfg.description))
+        records = linker.run_framework("Announce", "MakeScript", "Reset")
+        assert [(r.message, str(r.outcome)) for r in records] == [
+            ("Announce", "Handled"), ("MakeScript", "Skipped"), ("Reset", "Handled")]
+        assert cfg.heard == ["hi"]
+        # the base class still answers Reset, through super()
+        assert linker.collect_script_objects(producer=cfg.description) == []
+
+    def test_builtin_keys_come_from_their_schema(self, linker):
+        for type_name in ("HelloWorld", "Step", "FileInput", "DagGen", "Fork"):
+            cfg = linker.find(linker.attach(type_name))
+            assert tuple(cfg.store) == type(cfg).SCHEMA
 
 
 class TestResolveValue:

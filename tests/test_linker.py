@@ -1,5 +1,8 @@
 """Linker behavior: attach/route, dispatch, visibility, repository, dumps."""
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -239,13 +242,33 @@ class TestRunFramework:
         individual = linker.run_framework("Reset", "MakeJob", "MakeScript")
         assert grouped == individual
 
-    def test_dispatch_log_is_append_only(self, linker):
+    def test_each_run_returns_only_its_own_records(self, linker):
         linker.attach("HelloWorld", "English")
-        linker.run_framework("Reset")
-        first = list(linker.dispatch_log)
-        linker.run_framework("Reset")
-        assert linker.dispatch_log[:len(first)] == first
-        assert len(linker.dispatch_log) == 2 * len(first)
+        first = linker.run_framework("Reset")
+        second = linker.run_framework("Reset", "MakeScript")
+        assert [(r.message, r.description.identifier) for r in first] == [
+            ("Reset", "HelloWorld named English")]
+        assert [r.message for r in second] == ["Reset", "MakeScript"]
+        assert not hasattr(linker, "dispatch_log")  # the linker keeps no history
+
+    def test_repeated_runs_retain_no_memory(self, linker, helloworld_text):
+        execute_script(linker, helloworld_text)
+        linker.run_framework("Reset")  # first-use allocations happen here
+
+        def retained(runs):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for _ in range(runs):
+                    linker.run_framework("Reset")
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        few, many = retained(10), retained(1000)
+        assert many <= few + 4096, (few, many)
 
     def test_handler_error_aborts_with_context(self, linker):
         linker.attach("HelloWorldScriptGen")

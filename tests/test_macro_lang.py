@@ -241,6 +241,7 @@ class RecordingLinker:
 
     def run_framework(self, *messages):
         self.calls.append(("run_framework", *messages))
+        return []
 
     def define_group(self, name, messages):
         self.calls.append(("define_group", name, list(messages)))
@@ -400,14 +401,17 @@ class TestExecution:
         assert err.value.filename == "job.mac"
 
     def test_framework_run_directive(self, linker):
-        execute_script(linker, "attach Fork\nframework run Reset\n")
-        assert [r.message for r in linker.dispatch_log] == ["Reset"]
+        interpreter = MacroInterpreter(linker)
+        interpreter.run_directives(parse_script("attach Fork\nframework run Reset\n"), None)
+        assert [r.message for r in interpreter.dispatches] == ["Reset"]
 
     def test_framework_group_directive(self, linker):
-        execute_script(linker, "attach Fork\n"
-                               "framework group build Reset MakeScript\n"
-                               "framework run build\n")
-        assert [r.message for r in linker.dispatch_log] == ["Reset", "MakeScript"]
+        interpreter = MacroInterpreter(linker)
+        interpreter.run_directives(parse_script("attach Fork\n"
+                                                "framework group build Reset MakeScript\n"
+                                                "framework run build\n"
+                                                "framework run Reset\n"), None)
+        assert [r.message for r in interpreter.dispatches] == ["Reset", "MakeScript", "Reset"]
 
     def test_dump_retokenizes_to_identical_directives(self, linker, lenient_linker,
                                                       helloworld_text):
