@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 from .configurator import Configurator, ConfiguratorDescription
 from .errors import InvalidKey, MalformedLine, RunjobError, SpawnFailure
@@ -102,24 +103,21 @@ def read_key_values(path: Path) -> list[tuple[str, str]]:
     return pairs
 
 
-class RunResult:
-    def __init__(self, command: str, pid: int | None = None, returncode: int | None = None,
-                 stdout: str = "", process: object = None):
-        self.command = command
-        self.pid = pid
-        self.returncode = returncode
-        self.stdout = stdout
-        self.process = process
+class RunResult(NamedTuple):
+    """One spawned (or, in a dry run, listed) job of a Fork's RunJob."""
 
+    command: str  # the path run
+    process: object = None  # the Popen handle of a background job
+    returncode: int | None = None  # of a foreground job
+    stdout: str = ""  # captured from a foreground job
 
-class RunReport:
-    def __init__(self, mode: str, results: list[RunResult] | None = None):
-        self.mode = mode
-        self.results = [] if results is None else results
-
-    @property
-    def stdout(self) -> str:
-        return "".join(result.stdout for result in self.results)
+    def report(self) -> str:
+        """The run report's text for this job."""
+        if self.process is not None:
+            return f"started {self.command} (pid {self.process.pid})\n"
+        if self.returncode is None:
+            return f"dry-run: {self.command}\n"
+        return self.stdout
 
 
 class Fork(Configurator):
@@ -133,15 +131,15 @@ class Fork(Configurator):
     def __init__(self, description: ConfiguratorDescription):
         super().__init__(description)
         self.register_construct("ExecutableList", self._collect_composite_paths)
-        self.last_run_report: RunReport | None = None
+        self.results: list[RunResult] = []  # of the last RunJob, until reported
         self.jobs: list = []  # background processes, kept until someone waits on them
 
     def on_message(self, message: str) -> bool:
         if message == "RunJob":
-            self.last_run_report = self.run_jobs(self._linker.run_mode)
+            self.results = self.run_jobs(self._linker.run_mode)
             return True
         if message == "Reset":
-            self.last_run_report = None
+            self.results = []
         return super().on_message(message)
 
     def _collect_composite_paths(self) -> str:
@@ -156,49 +154,46 @@ class Fork(Configurator):
         return " ".join(shlex.quote(str(self._linker.materialize(obj.filename, obj.payload)))
                         for obj in composites)
 
-    def run_jobs(self, mode: str = "foreground") -> RunReport:
-        """Spawn every path in ExecutableList according to ``mode``.  Only a
-        dry run accepts a ScriptGenName whose scriptgen writes no shell."""
+    def run_jobs(self, mode: str = "foreground") -> list[RunResult]:
+        """Spawn every path in ExecutableList according to ``mode``.  In every
+        mode ScriptGenName must name a scriptgen; only a dry run accepts one
+        that writes no shell."""
         if mode not in RUN_MODES:
             raise RunjobError(f"unknown run mode {mode!r}")
-        scriptgen = named_scriptgen(self) if mode != "dry-run" else None
-        target = "shell" if scriptgen is None else scriptgen.script_target
-        if target != "shell":
-            raise RunjobError(f"{scriptgen.identifier} writes {target}, not shell")
+        scriptgen = named_scriptgen(self)
+        if mode != "dry-run" and scriptgen is not None and scriptgen.script_target != "shell":
+            raise RunjobError(f"{scriptgen.identifier} writes {scriptgen.script_target}, "
+                              "not shell")
         import shlex
         try:
             paths = shlex.split(self.resolve_value("ExecutableList"))
         except ValueError as exc:  # e.g. an unclosed quote in a literal list
             raise RunjobError(f"{self.identifier}: ExecutableList: {exc}") from None
         self.jobs = [job for job in self.jobs if job.poll() is None]  # reap finished ones
-        report = RunReport(mode)
-        failures = []
+        if mode == "dry-run":
+            return [RunResult(path) for path in paths]
+        import subprocess  # here, so that planning and dry runs never load it
+        results, failures = [], []
         for index, path in enumerate(paths):
-            result = RunResult(command=path)
-            report.results.append(result)
-            if mode == "dry-run":
-                continue
-            import subprocess  # here, so that planning and dry runs never load it
             env = _child_environment(Path(path).stem or str(index))
             executable = os.path.abspath(path)  # entries are paths, never PATH lookups
             try:
                 if mode == "background":
                     process = subprocess.Popen([executable], env=env)
-                    result.pid = process.pid
-                    result.process = process
                     self.jobs.append(process)
+                    results.append(RunResult(path, process=process))
                 else:
                     completed = subprocess.run([executable], env=env, capture_output=True,
                                                encoding="utf-8", errors="replace")
-                    result.returncode = completed.returncode
-                    result.stdout = completed.stdout
+                    results.append(RunResult(path, returncode=completed.returncode,
+                                             stdout=completed.stdout))
             except OSError as exc:
                 failures.append((path, str(exc)))
         if failures:
             detail = "; ".join(f"{path}: {reason}" for path, reason in failures)
             raise SpawnFailure(f"failed to spawn {len(failures)} job(s): {detail}",
                                failures=failures)
-        return report
+        return results
 
 
 def _child_environment(job_id: str) -> dict[str, str]:

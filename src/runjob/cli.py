@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .builtins import RUN_MODES, make_linker
+from .builtins import RUN_MODES, Fork, make_linker
 from .errors import IncompleteInput, RunjobError
 from .linker import Linker, cannot_write, write_atomically
 from .macro_lang import MacroInterpreter, check_script, execute_file, parse_script
@@ -149,27 +149,19 @@ def materialize_outputs(linker: Linker, target: str) -> list[Path]:
 
 
 def print_run_reports(linker: Linker, out) -> None:
-    """Write, then clear, the report of every Fork's last RunJob."""
+    """Write, then clear, the results of every Fork's last RunJob."""
     for cfg in linker.configurators:
-        report = getattr(cfg, "last_run_report", None)
-        if report is None:
-            continue
-        if report.mode == "dry-run":
-            for result in report.results:
-                out.write(f"dry-run: {result.command}\n")
-        elif report.mode == "background":
-            for result in report.results:
-                out.write(f"started {result.command} (pid {result.pid})\n")
-        else:
-            out.write(report.stdout)
-        cfg.last_run_report = None
+        if isinstance(cfg, Fork):
+            out.write("".join(result.report() for result in cfg.results))
+            cfg.results = []
 
 
 def wait_for_jobs(linker: Linker) -> None:
     """Wait for every background job a Fork has started."""
     for cfg in linker.configurators:
-        for process in getattr(cfg, "jobs", ()):
-            process.wait()
+        if isinstance(cfg, Fork):
+            for process in cfg.jobs:
+                process.wait()
 
 
 REPL_HELP = """\

@@ -250,8 +250,8 @@ class Configurator:
         self._constructors: dict[str, Callable[[], object]] = {}
         self._definitions: dict[str, _Definition] = {}  # lazy definitions only
         self._linker = None
-        for key in self.SCHEMA:
-            self.add_item(key)
+        for key in self.SCHEMA:  # a new store holds no resolved value, so no epoch step
+            self.store.backend[check_token(key)] = ""
         for pattern in self.STATIC_REQUIREMENTS:
             self.add_requirement(pattern)
 
@@ -384,11 +384,6 @@ class Configurator:
         self._synonyms[key] = (check_token(identifier, "identifier"),
                               check_token(remote_key))
         advance_epoch()
-
-    def store_oncall(self, message: str, command) -> None:
-        """Store a macro to run whenever ``message`` is dispatched to us."""
-        tokens = _macro_tokens(command)
-        self._store_call(message, " ".join(tokens), self.parse_macro(tokens))
 
     def _store_call(self, message: str, text: str, call: Callable[[], object]) -> None:
         check_token(message, "message")

@@ -178,10 +178,6 @@ class Linker:
         cfg.delegate = target = scriptgen.description
         cfg.add_requirement(DependencyPattern(target.type_name, target.instance_name), auto=True)
 
-    @property
-    def registrations(self) -> list[tuple[Configurator, str]]:
-        return list(self._registrations)
-
     # framework
 
     def run_framework(self, *messages: str) -> list[DispatchRecord]:

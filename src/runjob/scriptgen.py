@@ -138,27 +138,6 @@ def requirement_edges(linker, producers) -> list[tuple[ConfiguratorDescription,
     return list(edges)
 
 
-def _assert_acyclic(nodes, edges) -> None:
-    """Kahn's topological sort over the edges, O(V+E)."""
-    children: dict[ConfiguratorDescription, list[ConfiguratorDescription]] = {
-        node: [] for node in nodes}
-    indegree = dict.fromkeys(children, 0)
-    for parent, child in edges:
-        children[parent].append(child)
-        indegree[child] += 1
-    ready = [node for node, degree in indegree.items() if degree == 0]
-    seen = 0
-    while ready:
-        node = ready.pop()
-        seen += 1
-        for child in children[node]:
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                ready.append(child)
-    if seen != len(indegree):
-        raise CyclicWorkflow("requirement graph among job producers has a cycle")
-
-
 def build_dag(linker, fragments=None) -> str:
     """Render fragments plus their producers' requirement graph as DAG text:
     one JOB line per producer, naming its first fragment's file, and one
@@ -169,7 +148,14 @@ def build_dag(linker, fragments=None) -> str:
     for fragment in fragments:
         producers.setdefault(fragment.producer, fragment.filename)
     edges = requirement_edges(linker, producers)
-    _assert_acyclic(producers, edges)
+    from graphlib import CycleError, TopologicalSorter  # only a DAG build loads it
+    sorter = TopologicalSorter()
+    for parent, child in edges:
+        sorter.add(child, parent)
+    try:
+        sorter.prepare()
+    except CycleError:
+        raise CyclicWorkflow("requirement graph among job producers has a cycle") from None
     order = {producer: i for i, producer in enumerate(producers)}
     edges.sort(key=lambda e: (order[e[0]], order[e[1]]))
     lines = [f"JOB {fragment_id(p)} {name}" for p, name in producers.items()]

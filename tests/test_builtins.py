@@ -169,11 +169,9 @@ class TestFork:
     def test_foreground_runs_composites_and_captures_output(self, linker):
         hello_world_linker(linker)
         linker.run_framework("Reset", "MakeJob", "MakeScript", "RunJob")
-        fork = linker.find("Fork")
-        report = fork.last_run_report
-        assert report.mode == "foreground"
-        assert [r.returncode for r in report.results] == [0]
-        assert report.stdout == "Hello World\n"
+        results = linker.find("Fork").results
+        assert [r.returncode for r in results] == [0]
+        assert "".join(r.report() for r in results) == "Hello World\n"
 
     def test_script_gen_name_by_reference_is_resolved(self, linker):
         linker.run_mode = "dry-run"
@@ -188,37 +186,39 @@ cfg Fork define ScriptGenName ::HelloWorldScriptGen:Gen
 cfg Fork oncall RunJob do define ExecutableList ::construct
 """)
         linker.run_framework("Reset", "MakeJob", "MakeScript", "RunJob")
-        report = linker.find("Fork").last_run_report
-        assert [Path(r.command).name for r in report.results] == [
-            "composite_HelloWorldScriptGen.sh"]
+        results = linker.find("Fork").results
+        assert [Path(r.command).name for r in results] == ["composite_HelloWorldScriptGen.sh"]
 
     def test_dry_run_spawns_nothing(self, linker):
         linker.run_mode = "dry-run"
         hello_world_linker(linker)
         linker.run_framework("Reset", "MakeJob", "MakeScript", "RunJob")
-        report = linker.find("Fork").last_run_report
-        assert len(report.results) == 1
-        assert all(r.pid is None and r.returncode is None for r in report.results)
+        results = linker.find("Fork").results
+        assert len(results) == 1
+        assert all(r.process is None and r.returncode is None for r in results)
+        assert [r.report() for r in results] == [f"dry-run: {results[0].command}\n"]
 
     def test_background_reports_pids(self, linker):
         linker.run_mode = "background"
         hello_world_linker(linker)
         linker.run_framework("Reset", "MakeJob", "MakeScript", "RunJob")
-        report = linker.find("Fork").last_run_report
-        assert len(report.results) == 1
-        assert report.results[0].pid is not None
-        report.results[0].process.wait(timeout=10)
+        results = linker.find("Fork").results
+        assert len(results) == 1
+        assert results[0].process.pid is not None
+        assert results[0].report() == (
+            f"started {results[0].command} (pid {results[0].process.pid})\n")
+        results[0].process.wait(timeout=10)
 
     def test_background_jobs_are_kept_until_finished(self, linker):
         linker.run_mode = "background"
         hello_world_linker(linker)
         fork = linker.find("Fork")
         linker.run_framework("Reset", "MakeJob", "MakeScript", "RunJob")
-        first = fork.last_run_report.results[0].process
+        first = fork.results[0].process
         assert fork.jobs == [first]
         first.wait(timeout=10)
         linker.run_framework("RunJob")  # the next run drops the finished job
-        second = fork.last_run_report.results[0].process
+        second = fork.results[0].process
         assert fork.jobs == [second]
         second.wait(timeout=10)
 
@@ -256,9 +256,9 @@ cfg Fork define ScriptGenName SubmitGen
 cfg Fork oncall RunJob do define ExecutableList ::construct
 """)
         linker.run_framework("Reset", "MakeJob", "MakeScript", "RunJob")
-        report = linker.find("Fork").last_run_report
-        assert [Path(r.command).name for r in report.results] == ["SubmitGen.sub"]
-        assert Path(report.results[0].command).read_text() == "queue job_Step_A.sh\n"
+        results = linker.find("Fork").results
+        assert [Path(r.command).name for r in results] == ["SubmitGen.sub"]
+        assert Path(results[0].command).read_text() == "queue job_Step_A.sh\n"
 
     def test_unclosed_quote_in_executable_list_is_a_runjob_error(self, linker):
         fork = linker.find(linker.attach("Fork"))
@@ -268,8 +268,7 @@ cfg Fork oncall RunJob do define ExecutableList ::construct
 
     def test_empty_executable_list_is_success(self, linker):
         fork = linker.find(linker.attach("Fork"))
-        report = fork.run_jobs("foreground")
-        assert report.results == []
+        assert fork.run_jobs("foreground") == []
 
     def test_spawn_failures_aggregate(self, linker, tmp_path):
         fork = linker.find(linker.attach("Fork"))

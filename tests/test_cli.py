@@ -344,8 +344,11 @@ class TestRunCommand:
          "cfg Fork oncall RunJob do define ExecutableList ::construct\n",
          ("--run-mode", "dry-run"),
          "Fork: Step named S is not a scriptgen (dispatching RunJob to Fork)"),
+        ("attach Step named S\nattach Fork\ncfg Fork define ScriptGenName S\n",
+         ("--run-mode", "dry-run"),
+         "Fork: Step named S is not a scriptgen (dispatching RunJob to Fork)"),
     ], ids=["register a Fork", "DagGen names a Fork", "Fork runs a Step",
-            "Fork lists a Step"])
+            "Fork lists a Step", "Fork names a Step in a dry run"])
     def test_miswired_roles_are_clean_errors(self, tmp_path, capsys, text, flags, error):
         script = tmp_path / "roles.mac"
         script.write_text(text)

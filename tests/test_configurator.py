@@ -348,7 +348,7 @@ class TestOncall:
         cfg = Custom(ConfiguratorDescription("Custom"))
         cfg.apply_macro("oncall Tick do frobnicate hard")
         with pytest.raises(UnknownMacro):
-            cfg.store_oncall("Tick", "unfrobnicate")
+            cfg.apply_macro("oncall Tick do unfrobnicate")
         cfg.handle_framework("Tick")
         assert cfg.handled == [["frobnicate", "hard"]]
 

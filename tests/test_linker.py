@@ -76,9 +76,7 @@ class TestAttach:
         assert linker.find("web").identifier == "NeedsServer named web"
 
     def test_failed_strict_attach_changes_nothing(self, linker):
-        # built before the epoch is read: constructing records its requirements
-        server = NeedsServer(ConfiguratorDescription("NeedsServer"))
-        linker.register_type("NeedsServer", lambda description: server)
+        linker.register_type("NeedsServer", NeedsServer)
         probe = linker.find(linker.attach("Step", "probe"))
         epoch, attached = current_epoch(), linker.configurators
         with pytest.raises(UnsatisfiedDependency):
@@ -88,6 +86,16 @@ class TestAttach:
             linker.find("NeedsServer")
         with pytest.raises(UnsatisfiedDependency):
             probe.apply_macro("addreq NeedsServer")
+
+    def test_failed_strict_attach_of_a_schema_type_leaves_the_epoch(self, linker):
+        class Keyed(NeedsServer):
+            SCHEMA = ("A", "B")
+
+        linker.register_type("Keyed", Keyed)  # a class: attach builds it
+        epoch = current_epoch()
+        with pytest.raises(UnsatisfiedDependency):
+            linker.attach("Keyed")
+        assert current_epoch() == epoch
 
     def test_failed_strict_attach_leaves_the_epoch(self, linker):
         linker.register_type("NeedsServer", NeedsServer)

@@ -44,7 +44,8 @@ class TestRegisterDelegator:
     def test_register_is_idempotent(self, linker):
         sg = hello_setup(linker)
         linker.route("HelloWorldScriptGen", "register HelloWorld")
-        assert len(linker.registrations) == 1
+        registers = [line for line in linker.dump_state().splitlines() if " register " in line]
+        assert registers == ["cfg HelloWorldScriptGen register HelloWorld"]
         cfg = linker.find("HelloWorld named English")
         assert len(cfg.requirements) == 1
 
