@@ -71,15 +71,7 @@ def _malformed_identifier(tokens: Sequence[str]) -> MacroParseError:
 
 def format_identifier(type_name: str, instance_name: str | None) -> str:
     """Render the "Type" or "Type named Name" form."""
-    if instance_name is None:
-        return type_name
-    return f"{type_name} named {instance_name}"
-
-
-def canonical_identifier(type_name: str, instance_name: str) -> str:
-    """The identifier of a configurator: just the type when the instance is
-    named after it."""
-    return format_identifier(type_name, None if instance_name == type_name else instance_name)
+    return type_name if instance_name is None else f"{type_name} named {instance_name}"
 
 
 class ConfiguratorDescription(NamedTuple("ConfiguratorDescription",
@@ -94,24 +86,24 @@ class ConfiguratorDescription(NamedTuple("ConfiguratorDescription",
     __slots__ = ()
 
     def __new__(cls, type_name: str, instance_name: str | None = None):
-        if instance_name is None:
-            instance_name = type_name
-        for name, what in ((type_name, "type name"), (instance_name, "instance name")):
-            check_token(name, what)
-            if "/" in name or "\0" in name:  # a name becomes part of a file name
+        instance_name = type_name if instance_name is None else instance_name
+        for name in (type_name, instance_name):  # a token that can be part of a file name
+            if not isinstance(name, str) or name.split() != [name] or "/" in name or "\0" in name:
+                what = "type name" if name is type_name else "instance name"
+                check_token(name, what)
                 raise InvalidKey(f"invalid {what}: {name!r} (a name may not hold '/' or NUL)")
-        return super().__new__(cls, type_name, instance_name)
+        return tuple.__new__(cls, (type_name, instance_name))
 
     @property
     def identifier(self) -> str:
-        return canonical_identifier(self.type_name, self.instance_name)
+        type_name, instance_name = self
+        return format_identifier(type_name, None if instance_name == type_name else instance_name)
 
     @property
     def slug(self) -> str:
         """Filesystem/DAG-safe form of the identifier."""
-        if self.instance_name == self.type_name:
-            return self.type_name
-        return f"{self.type_name}_{self.instance_name}"
+        type_name, instance_name = self
+        return type_name if instance_name == type_name else f"{type_name}_{instance_name}"
 
 
 class DependencyPattern(NamedTuple):
@@ -152,9 +144,7 @@ class Outcome(NamedTuple):
     target: ConfiguratorDescription | None = None
 
     def __str__(self) -> str:
-        if self.kind == "Delegated":
-            return f"Delegated to {self.target.identifier}"
-        return self.kind
+        return f"Delegated to {self.target.identifier}" if self.kind == "Delegated" else self.kind
 
 
 HANDLED = Outcome("Handled")
@@ -172,11 +162,11 @@ class ValueExpression(NamedTuple):
 
     @classmethod
     def literal(cls, value: str) -> "ValueExpression":
-        return cls("literal", value)
+        return tuple.__new__(cls, ("literal", value, None, None))
 
     @classmethod
     def reference(cls, identifier: str, key: str) -> "ValueExpression":
-        return cls("reference", f"::{identifier}:{key}", ref=(identifier, key))
+        return tuple.__new__(cls, ("reference", f"::{identifier}:{key}", (identifier, key), None))
 
     @classmethod
     def synonym(cls, key: str | None = None) -> "ValueExpression":
@@ -238,6 +228,11 @@ class Configurator:
     SCHEMA: tuple[str, ...] = ()  # keys declared, in this order, on every instance
     STATIC_REQUIREMENTS: tuple[DependencyPattern, ...] = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for key in cls.SCHEMA:  # checked once per class, not per configurator
+            check_token(key)
+
     def __init__(self, description: ConfiguratorDescription):
         self.description = description
         self.store = TriggerStore()
@@ -250,8 +245,7 @@ class Configurator:
         self._constructors: dict[str, Callable[[], object]] = {}
         self._definitions: dict[str, _Definition] = {}  # lazy definitions only
         self._linker = None
-        for key in self.SCHEMA:  # a new store holds no resolved value, so no epoch step
-            self.store.backend[check_token(key)] = ""
+        self.store.backend.update(dict.fromkeys(self.SCHEMA, ""))  # a new store: no epoch step
         for pattern in self.STATIC_REQUIREMENTS:
             self.add_requirement(pattern)
 
@@ -334,14 +328,14 @@ class Configurator:
         the value last resolved.  A rejected definition leaves the key's
         previous one in place.
         """
+        if expression.kind == "literal":  # the store write checks the key
+            self._definitions.pop(key, None)
+            return self.store.write(key, expression.text)
         check_token(key)
         if expression.kind == "construct" and key not in self._constructors:
             raise NoConstructRegistered(
                 f"{self.identifier}: no construct function registered for {key!r}")
         self._definitions.pop(key, None)
-        if expression.kind == "literal":
-            self.store.write(key, expression.text)
-            return
         if key not in self.store:
             self.store.untriggered_write(key, "")
         self._definitions[key] = _Definition(expression)
@@ -405,7 +399,7 @@ class Configurator:
                 call()
         if message == "MakeJob" and self.delegate is not None:
             self._linker.find_by_description(self.delegate).delegated_make_job(self)
-            return Outcome("Delegated", self.delegate)
+            return tuple.__new__(Outcome, ("Delegated", self.delegate))
         return HANDLED if self.on_message(message) or stored else SKIPPED
 
     def on_message(self, message: str) -> bool:
@@ -436,7 +430,7 @@ class Configurator:
         _resolving[frame] = None
         try:
             value = self.store.read(key)
-            if self.store.read_handler_ids(key):
+            if self.store.fires_on_read(key):
                 _volatile_read()  # user handlers must fire on every read through here
             definition = self._definitions.get(key)
             epoch = current_epoch()
@@ -466,15 +460,13 @@ class Configurator:
     def dump_commands(self, resolve: bool = False) -> list[str]:
         """Own state as base-parser macros, in a re-sourceable order."""
         lines = []
-        for key in self.store:
+        for key, value in self.store.items():
             definition = self._definitions.get(key)
             if definition is not None:
                 if not resolve:
                     lines.append(f"define {key} {definition.expression.text}")
                     continue
                 value = self.resolve_value(key)
-            else:
-                value = self.store.untriggered_read(key)
             lines.append(f"define {key} {value}" if value else f"additem {key}")
         for requirement in self._requirements.values():
             if not requirement.auto:
@@ -488,7 +480,7 @@ class Configurator:
 
 
 def _macro_tokens(macro) -> list[str]:
-    tokens = macro.split() if isinstance(macro, str) else list(macro)
+    tokens = macro.split() if isinstance(macro, str) else macro
     if not tokens:
         raise MacroParseError("empty macro")
     return tokens

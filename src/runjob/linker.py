@@ -12,7 +12,7 @@ reference cycles.
 from __future__ import annotations
 
 import os
-from collections import Counter, defaultdict
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -21,7 +21,6 @@ from .configurator import (
     ConfiguratorDescription,
     DependencyPattern,
     Outcome,
-    canonical_identifier,
     format_identifier,
     parse_identifier,
 )
@@ -51,8 +50,9 @@ class Linker:
                  types: dict | None = None):
         self._types: dict[str, type] = dict(types or {})
         self._configurators: dict[str, Configurator] = {}  # by canonical identifier
+        self._by_description: dict[ConfiguratorDescription, Configurator] = {}
         # configurators by instance name, and attached count per type
-        self._by_instance: defaultdict[str, list[Configurator]] = defaultdict(list)
+        self._by_instance: dict[str, tuple[Configurator, ...]] = {}
         self._type_counts: Counter[str] = Counter()
         self.repository: dict[str, ScriptObject] = {}  # by file name, in emission order
         self._files: dict[ConfiguratorDescription, tuple[str, ...]] = {}  # by producer
@@ -60,8 +60,8 @@ class Linker:
         self._strict = bool(strict)
         self.output_dir = Path(output_dir)
         self.run_mode = run_mode
-        # (scriptgen, delegator type) in order of latest registration
-        self._registrations: dict[tuple[Configurator, str], None] = {}
+        # (scriptgen, delegator type) to the scriptgen's pattern, in order of latest registration
+        self._registrations: dict[tuple[Configurator, str], DependencyPattern] = {}
 
     @property
     def strict(self) -> bool:
@@ -102,11 +102,13 @@ class Linker:
             for requirement in cfg.requirements:
                 if requirement.pattern not in ((type_name, None), description):
                     self.require_attached(cfg, requirement.pattern)
-        for scriptgen, delegator_type in self._registrations:
+        for (scriptgen, delegator_type), pattern in self._registrations.items():
             if delegator_type == type_name:
-                self._delegate(cfg, scriptgen)
+                self._delegate(cfg, scriptgen, pattern)
         self._configurators[key] = cfg
-        self._by_instance[description.instance_name].append(cfg)
+        self._by_description[description] = cfg
+        name = description.instance_name
+        self._by_instance[name] = (*self._by_instance.get(name, ()), cfg)
         self._type_counts[type_name] += 1
         advance_epoch()
         return key
@@ -114,11 +116,8 @@ class Linker:
     def require_attached(self, cfg: Configurator, pattern: DependencyPattern) -> None:
         """Strict-mode check that ``cfg``'s requirement ``pattern`` matches an
         attached configurator."""
-        if pattern.instance_name is None:
-            attached = self._type_counts[pattern.type_name] > 0
-        else:
-            attached = (canonical_identifier(pattern.type_name, pattern.instance_name)
-                        in self._configurators)
+        attached = (self._type_counts[pattern.type_name] > 0 if pattern.instance_name is None
+                    else pattern in self._by_description)  # equal to the description it names
         if not attached:
             raise UnsatisfiedDependency(
                 f"{cfg.identifier}: requirement {pattern.render()!r} "
@@ -135,7 +134,7 @@ class Linker:
         if cfg is not None:
             return cfg
         type_name, instance = parse_identifier(identifier.split())
-        cfg = self._configurators.get(canonical_identifier(type_name, instance or type_name))
+        cfg = self._by_description.get((type_name, instance or type_name))
         if cfg is not None:
             return cfg
         if instance is not None:
@@ -149,7 +148,7 @@ class Linker:
         raise UnknownConfigurator(f"no configurator matches {type_name!r}")
 
     def find_by_description(self, description: ConfiguratorDescription) -> Configurator:
-        cfg = self._configurators.get(description.identifier)
+        cfg = self._by_description.get(description)
         if cfg is None:
             raise UnknownConfigurator(f"no configurator {description.identifier!r}")
         return cfg
@@ -167,16 +166,17 @@ class Linker:
         if delegator_type not in self._types:
             raise UnknownType(f"unknown configurator type {delegator_type!r}")
         self._registrations.pop((scriptgen, delegator_type), None)
-        self._registrations[(scriptgen, delegator_type)] = None
+        pattern = DependencyPattern(*scriptgen.description)
+        self._registrations[(scriptgen, delegator_type)] = pattern
         for cfg in self._configurators.values():
             if cfg.description.type_name == delegator_type:
-                self._delegate(cfg, scriptgen)
+                self._delegate(cfg, scriptgen, pattern)
 
     @staticmethod
-    def _delegate(cfg: Configurator, scriptgen: Configurator) -> None:
-        """Route ``cfg``'s MakeJob to ``scriptgen``, which ``cfg`` then depends on."""
-        cfg.delegate = target = scriptgen.description
-        cfg.add_requirement(DependencyPattern(target.type_name, target.instance_name), auto=True)
+    def _delegate(cfg: Configurator, scriptgen: Configurator, pattern: DependencyPattern) -> None:
+        """Route ``cfg``'s MakeJob to ``scriptgen``, named by ``pattern``, which ``cfg`` needs."""
+        cfg.delegate = scriptgen.description
+        cfg.add_requirement(pattern, auto=True)
 
     # framework
 
@@ -197,7 +197,7 @@ class Linker:
                 except RunjobError as exc:
                     exc.dispatch_context = (message, cfg.identifier)
                     raise
-                records.append(DispatchRecord(message, cfg.description, outcome))
+                records.append(tuple.__new__(DispatchRecord, (message, cfg.description, outcome)))
         return records
 
     def define_group(self, name: str, messages) -> None:

@@ -181,6 +181,7 @@ class Loop(Directive):
         self.start = start
         self.stop = stop
         self.body = [] if body is None else body
+        self.plan = None  # substitution_plan(body, var), made when the loop first runs
 
     def describe(self) -> str:
         return f"loop {self.var} {self.start} {self.stop} body={len(self.body)}"
@@ -222,20 +223,23 @@ def parse_directive(line: LogicalLine, filename: str | None = None) -> Directive
     raise ParseError(f"unknown directive {head!r}", filename=filename, lineno=line.lineno)
 
 
-def _parse_loop_header(line: LogicalLine, filename) -> Loop:
+def _parse_loop_header(line: LogicalLine, filename, loop_vars: tuple[str, ...]) -> Loop:
     tokens = line.tokens
     if len(tokens) != 4:
         raise ParseError("usage: loop <var> <from> <to>",
                          filename=filename, lineno=line.lineno)
     for bound in tokens[2:]:
-        if "$(" not in bound:  # else resolved by an outer loop at execution time
-            _loop_bound(bound, line.lineno, filename)
+        _loop_bound(bound, line.lineno, filename, loop_vars)
     return Loop(line.lineno, tokens[1], tokens[2], tokens[3])
 
 
-def _loop_bound(bound: str, lineno: int, filename) -> int:
+def _loop_bound(bound: str, lineno: int, filename, loop_vars: tuple[str, ...] = ()) -> int:
+    """``bound`` as an integer, reading each ``$(var)`` of ``loop_vars`` as 1."""
+    text = bound
+    for var in loop_vars:
+        text = text.replace(f"$({var})", "1")
     try:
-        return int(bound)
+        return int(text)
     except ValueError:
         raise ParseError(f"loop bound {bound!r} is not an integer",
                          filename=filename, lineno=lineno) from None
@@ -260,12 +264,14 @@ def _matching_endloop(lines: list[LogicalLine], start: int, filename) -> int:
                           filename=filename, lineno=lines[start].lineno)
 
 
-def parse_block(lines: list[LogicalLine], filename: str | None = None) -> list[Directive]:
+def parse_block(lines: list[LogicalLine], filename: str | None = None,
+                loop_vars: tuple[str, ...] = ()) -> list[Directive]:
     """Parse logical lines into directives, folding each loop...endloop into
     a ``Loop`` whose body holds its parsed directives.
 
     A loop's endloop is found before its header and body are checked, so an
-    unclosed loop is ``IncompleteInput`` whatever it contains.
+    unclosed loop is ``IncompleteInput`` whatever it contains.  A bound may
+    use ``loop_vars``, the variables of the loops around ``lines``.
     """
     directives: list[Directive] = []
     index = 0
@@ -273,8 +279,8 @@ def parse_block(lines: list[LogicalLine], filename: str | None = None) -> list[D
         line = lines[index]
         if _head(line) == LOOP_KEYWORD:
             end = _matching_endloop(lines, index, filename)
-            loop = _parse_loop_header(line, filename)
-            loop.body = parse_block(lines[index + 1:end], filename)
+            loop = _parse_loop_header(line, filename, loop_vars)
+            loop.body = parse_block(lines[index + 1:end], filename, (*loop_vars, loop.var))
             directives.append(loop)
             index = end
         else:
@@ -287,10 +293,35 @@ def parse_script(text: str, filename: str | None = None) -> list[Directive]:
     return parse_block(tokenize(text, filename), filename)
 
 
-def substitute_block(directives: list[Directive], var: str, value: str) -> list[Directive]:
+def substitution_plan(directives: list[Directive], var: str) -> list[list[tuple]]:
+    """Per directive, ``(field, where)`` for each field holding ``$(var)``:
+    ``where`` is None for a string, the token positions for a token list, and
+    the plan of a nested loop's body, which a loop re-binding ``var`` shadows."""
+    marker = f"$({var})"
+    plan = []
+    for directive in directives:
+        fields = []
+        for name, current in vars(directive).items():
+            if isinstance(current, str) and marker in current:
+                fields.append((name, None))
+            elif name == "body":
+                inner = [] if directive.var == var else substitution_plan(current, var)
+                if any(inner):
+                    fields.append((name, inner))
+            elif isinstance(current, list) and name != "plan":
+                positions = [index for index, token in enumerate(current) if marker in token]
+                if positions:
+                    fields.append((name, positions))
+        plan.append(fields)
+    return plan
+
+
+def substitute_block(directives: list[Directive], var: str, value: str,
+                     plan: list[list[tuple]] | None = None) -> list[Directive]:
     """Copies of ``directives`` with ``$(var)`` replaced by ``value`` in every
     string field.  A nested loop that re-binds ``var`` substitutes only its
-    own header: its bounds see the outer value, its body is shadowed.
+    own header: its bounds see the outer value, its body is shadowed.  Only
+    the fields that ``plan`` names are rebuilt; a changed loop body is replanned.
 
     Substituting into parsed directives gives what re-parsing the
     substituted text would: loop values are integers, so a substituted token
@@ -298,19 +329,22 @@ def substitute_block(directives: list[Directive], var: str, value: str) -> list[
     ``loop`` or ``endloop``, the only tokens that steer the parser.
     """
     marker = f"$({var})"
+    plan = substitution_plan(directives, var) if plan is None else plan
     result = []
-    for directive in directives:
-        copy = object.__new__(type(directive))
-        fields = copy.__dict__
-        for name, current in directive.__dict__.items():
-            if isinstance(current, str):
-                current = current.replace(marker, value)
+    for directive, fields in zip(directives, plan):
+        state = directive.__dict__.copy()
+        for name, where in fields:
+            if where is None:
+                state[name] = state[name].replace(marker, value)
             elif name == "body":
-                if directive.var != var:
-                    current = substitute_block(current, var, value)
-            elif isinstance(current, list):
-                current = [token.replace(marker, value) for token in current]
-            fields[name] = current
+                state[name] = substitute_block(state[name], var, value, where)
+                state["plan"] = None
+            else:
+                tokens = state[name] = state[name].copy()
+                for index in where:
+                    tokens[index] = tokens[index].replace(marker, value)
+        copy = object.__new__(type(directive))
+        copy.__dict__ = state
         result.append(copy)
     return result
 
@@ -368,8 +402,9 @@ class MacroInterpreter:
     def _execute_loop(self, loop: Loop, filename: str | None) -> None:
         start, stop = (_loop_bound(bound, loop.lineno, filename)
                        for bound in (loop.start, loop.stop))
+        plan = loop.plan = loop.plan or substitution_plan(loop.body, loop.var)
         for value in range(start, stop + 1):
-            self.run_directives(substitute_block(loop.body, loop.var, str(value)), filename)
+            self.run_directives(substitute_block(loop.body, loop.var, str(value), plan), filename)
 
 
 def read_utf8(path: Path, error: type[RunjobError]) -> str:

@@ -77,9 +77,9 @@ class ScriptGen(Configurator):
 
     def delegated_make_job(self, delegator: Configurator) -> ScriptObject:
         """Emit one shell fragment for ``delegator`` into the linker repository."""
-        return self._linker.add_script_object(ScriptObject(
+        return self._linker.add_script_object(tuple.__new__(ScriptObject, (
             f"{fragment_id(delegator.description)}.sh", "shell",
-            delegator.fragment_payload(), delegator.description))
+            delegator.fragment_payload(), delegator.description, "fragment")))
 
     def fragments(self) -> list[ScriptObject]:
         """Repository fragments whose producer currently delegates to us."""
@@ -94,9 +94,9 @@ class ScriptGen(Configurator):
 
     def make_composite(self) -> ScriptObject:
         """Replace our previous composite, if any, with a newly composed one."""
-        return self._linker.add_script_object(ScriptObject(
+        return self._linker.add_script_object(tuple.__new__(ScriptObject, (
             self.composite_filename(), self.script_target,
-            self.compose(), self.description, kind="composite"))
+            self.compose(), self.description, "composite")))
 
     def composite_filename(self) -> str:
         return f"composite_{self.description.slug}.sh"
@@ -122,16 +122,13 @@ def requirement_edges(linker, producers) -> list[tuple[ConfiguratorDescription,
     by_type: dict[str, list[ConfiguratorDescription]] = {}
     for producer in producers:
         by_type.setdefault(producer.type_name, []).append(producer)
-    by_key = {(p.type_name, p.instance_name): p for p in producers}
+    by_key = {producer: (producer,) for producer in producers}  # a named pattern equals its key
     edges: dict[tuple[ConfiguratorDescription, ConfiguratorDescription], None] = {}
     for child in producers:
         for requirement in linker.find_by_description(child).requirements:
             pattern = requirement.pattern
-            if pattern.instance_name is None:
-                candidates = by_type.get(pattern.type_name, ())
-            else:
-                named = by_key.get((pattern.type_name, pattern.instance_name))
-                candidates = () if named is None else (named,)
+            candidates = (by_type.get(pattern.type_name, ()) if pattern.instance_name is None
+                          else by_key.get(pattern, ()))
             for parent in candidates:
                 if parent != child and pattern.matches(parent):
                     edges[(parent, child)] = None

@@ -196,6 +196,11 @@ class TriggerStore:
                 for slot in ((_READ, None), (_READ, key))
                 for handler in handlers.get(slot, ())]
 
+    def fires_on_read(self, key: str) -> bool:
+        """Whether a triggered read of ``key`` fires a handler (no slot is kept empty)."""
+        handlers = self._handlers
+        return bool(handlers) and ((_READ, None) in handlers or (_READ, key) in handlers)
+
     def _fire(self, mode: str, key: str) -> None:
         handlers = self._handlers
         if not handlers:

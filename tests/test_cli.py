@@ -239,6 +239,16 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: {script}:3: unknown directive 'bogus'\n"
 
     @pytest.mark.parametrize("flags", [("--check",), ("--run-mode", "dry-run")])
+    def test_bound_naming_no_enclosing_variable_fails_check_and_run(self, tmp_path, capsys,
+                                                                    flags):
+        script = tmp_path / "a.mac"
+        script.write_text("loop i 1 2\nloop j 1 $(k)\nattach Step named s$(i)x$(j)\n"
+                          "endloop\nendloop\n")
+        assert run_cli("run", str(script), "--out", str(tmp_path / "out"), *flags) == 1
+        assert capsys.readouterr().err == (f"error: {script}:2: "
+                                           "loop bound '$(k)' is not an integer\n")
+
+    @pytest.mark.parametrize("flags", [("--check",), ("--run-mode", "dry-run")])
     def test_nul_byte_in_a_source_path_is_a_clean_error(self, tmp_path, capsys, flags):
         script = tmp_path / "s.mac"
         script.write_bytes(b"source a\x00b.mac\n")

@@ -422,6 +422,17 @@ class TestHandleFramework:
             cfg = linker.find(linker.attach(type_name))
             assert tuple(cfg.store) == type(cfg).SCHEMA
 
+    def test_schema_is_checked_once_when_the_class_is_defined(self, linker, monkeypatch):
+        with pytest.raises(InvalidKey, match="invalid key: 'two words'"):
+            class Bad(Configurator):
+                SCHEMA = ("Fine", "two words")
+
+        checked = []
+        monkeypatch.setattr("runjob.configurator.check_token",
+                            lambda token, what="key": checked.append(token) or token)
+        cfg = linker.find(linker.attach("Step"))
+        assert not set(checked) & set(type(cfg).SCHEMA)  # checked when Step was defined
+
 
 class TestResolveValue:
     def test_reference_chain_ends_in_literal(self, linker):

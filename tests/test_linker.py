@@ -278,6 +278,37 @@ class TestRunFramework:
         few, many = retained(10), retained(1000)
         assert many <= few + 4096, (few, many)
 
+    def test_loop_plan_retains_flat_memory_per_iteration(self, tmp_path):
+        # the bench's loop_shell shape: per iteration one attach, three defines
+        text = ("attach HelloWorldScriptGen\n"
+                "cfg HelloWorldScriptGen register HelloWorld\n"
+                "attach Fork\n"
+                "cfg Fork define ScriptGenName HelloWorldScriptGen\n"
+                "cfg Fork oncall RunJob do define ExecutableList ::construct\n"
+                "loop i 1 {n}\n"
+                "cfg HelloWorldScriptGen define textA$(i) gamma sierra $(i)\n"
+                "attach HelloWorld named greeter$(i)\n"
+                "cfg HelloWorldScriptGen define text1$(i) gamma lima $(i)\n"
+                "cfg HelloWorld named greeter$(i) define HelloMessage "
+                "::HelloWorldScriptGen:text1$(i)\n"
+                "endloop\n")
+
+        def per_iteration(n):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                linker = make_linker(output_dir=tmp_path, run_mode="dry-run")
+                execute_script(linker, text.format(n=n))
+                linker.run_framework("Reset", "MakeJob", "MakeScript", "RunJob")
+                gc.collect()
+                return (tracemalloc.get_traced_memory()[0] - before) / n
+            finally:
+                tracemalloc.stop()
+
+        small, large = per_iteration(500), per_iteration(2000)
+        assert large <= 1.1 * small, (small, large)
+
     def test_handler_error_aborts_with_context(self, linker):
         linker.attach("HelloWorldScriptGen")
         linker.route("HelloWorldScriptGen", "register HelloWorld")

@@ -226,6 +226,34 @@ class TestLoops:
         with pytest.raises(ParseError):
             parse_script("loop i one 2\nendloop\n")
 
+    @pytest.mark.parametrize("outer, bounds, bad", [
+        ("1 2", "1 $(k)", "$(k)"),
+        ("1 0", "1 $(k)", "$(k)"),  # checked though the loop never runs
+        ("1 2", "$(j) 2", "$(j)"),  # a loop's own variable is not bound in its header
+        ("1 2", "$(i)x 2", "$(i)x"),
+        ("1 2", "1 $(", "$("),
+    ])
+    def test_bound_must_be_an_integer_given_the_enclosing_variables(self, outer, bounds, bad):
+        text = (f"loop i {outer}\nloop j {bounds}\nattach Step named s$(i)x$(j)\n"
+                "endloop\nendloop\n")
+        with pytest.raises(ParseError) as err:
+            parse_script(text, "a.mac")
+        assert str(err.value) == f"a.mac:2: loop bound {bad!r} is not an integer"
+
+    def test_bound_may_use_any_enclosing_variable(self, linker):
+        execute_script(linker, "loop i 1 2\nloop j -$(i) 0$(i)\nloop k $(i) $(i)\n"
+                               "attach Step named s$(i)x$(j)x$(k)\nendloop\nendloop\nendloop\n")
+        names = [cfg.description.instance_name for cfg in linker.configurators]
+        assert names == ["s1x-1x1", "s1x0x1", "s1x1x1",
+                         "s2x-2x2", "s2x-1x2", "s2x0x2", "s2x1x2", "s2x2x2"]
+
+    def test_outer_value_completes_an_inner_marker(self, linker):
+        # a copied loop plans the body it was given, not the one it was parsed with
+        execute_script(linker, "loop i 1 2\nloop 1 7 7\nattach Step named s$($(i))x$(i)\n"
+                               "endloop\nendloop\n")
+        names = [cfg.description.instance_name for cfg in linker.configurators]
+        assert names == ["s7x1", "s$(2)x2"]
+
 
 class RecordingLinker:
     """Records the linker calls the interpreter makes."""
