@@ -12,7 +12,7 @@ import os
 from pathlib import Path
 from typing import NamedTuple
 
-from .configurator import Configurator, ConfiguratorDescription
+from .configurator import Configurator, ConfiguratorDescription, reads_back
 from .errors import InvalidKey, MalformedLine, RunjobError, SpawnFailure
 from .linker import Linker
 from .macro_lang import read_utf8, split_lines
@@ -93,7 +93,7 @@ def read_key_values(path: Path) -> list[tuple[str, str]]:
         if not sep or not key:
             raise MalformedLine(f"expected key=value, got {raw!r}",
                                 filename=str(path), lineno=lineno)
-        if "#" in line or value.startswith("::") or value.endswith("\\"):
+        if "#" in key or not reads_back(value):
             raise MalformedLine(f"cannot be re-sourced as a literal define: {raw!r}",
                                 filename=str(path), lineno=lineno)
         try:

@@ -111,9 +111,7 @@ def _run_or_check(args) -> int:
     linker = _new_linker(args)
     try:
         execute_file(linker, args.script)
-        messages = args.framework.split()
-        if messages:
-            linker.run_framework(*messages)
+        linker.run_framework(*args.framework.split())
         for path in materialize_outputs(linker, args.target):
             print(f"wrote {path}")
         print_run_reports(linker, sys.stdout)

@@ -208,6 +208,12 @@ def parse_expression(tokens: Sequence[str]) -> ValueExpression:
     return ValueExpression.literal(" ".join(tokens))
 
 
+def reads_back(value: str) -> bool:
+    """Whether ``define <key> <value>`` reads back as exactly ``value``."""
+    return ("#" not in value and not value.startswith("::") and not value.endswith("\\")
+            and " ".join(value.split()) == value)
+
+
 class _Definition:
     __slots__ = ("expression", "resolved_at")
 
@@ -336,8 +342,7 @@ class Configurator:
             raise NoConstructRegistered(
                 f"{self.identifier}: no construct function registered for {key!r}")
         self._definitions.pop(key, None)
-        if key not in self.store:
-            self.store.untriggered_write(key, "")
+        self.add_item(key)
         self._definitions[key] = _Definition(expression)
         advance_epoch()
 
@@ -467,6 +472,8 @@ class Configurator:
                     lines.append(f"define {key} {definition.expression.text}")
                     continue
                 value = self.resolve_value(key)
+                if not reads_back(value):
+                    raise RunjobError(f"{self.identifier}:{key}: {value!r} would not source back")
             lines.append(f"define {key} {value}" if value else f"additem {key}")
         for requirement in self._requirements.values():
             if not requirement.auto:

@@ -353,7 +353,7 @@ class MacroInterpreter:
     """Executes directives against a linker, tracking source-file nesting.
 
     Without a linker it only checks: sourced files are parsed in turn and
-    source cycles detected, but nothing executes and loops are not unrolled.
+    source cycles detected, but nothing executes and a loop body is walked once.
     """
 
     def __init__(self, linker=None):
@@ -386,8 +386,10 @@ class MacroInterpreter:
     def execute(self, directive: Directive, filename: str | None = None) -> None:
         if isinstance(directive, Source):  # relative to the sourcing file
             self.run_file(Path(filename or "").parent / directive.path)
-        elif self.linker is None:
-            return
+        elif self.linker is None:  # a loop body is checked once; a per-iteration source is not
+            if isinstance(directive, Loop):
+                self.run_directives([d for d in directive.body
+                                     if not (isinstance(d, Source) and "$(" in d.path)], filename)
         elif isinstance(directive, Attach):
             self.linker.attach(directive.type_name, directive.instance_name)
         elif isinstance(directive, Cfg):

@@ -2,9 +2,9 @@
 
 Every configurator keeps its metadata in a TriggerStore.  Handlers can be
 registered for four kinds of access (global read, global write, indexed
-read, indexed write) and fire on the matching triggered operation.  The
-untriggered operations bypass handlers entirely, which is what a handler
-must use when it mutates the store, otherwise it would retrigger itself.
+read, indexed write) and fire on the matching triggered operation, which is
+the untriggered one plus its handlers.  A handler that mutates the store
+must use the untriggered operations, otherwise it would retrigger itself.
 
 Read triggers fire before the value is fetched, so an indexed read handler
 may lazily construct or refresh the value it guards.
@@ -86,9 +86,6 @@ class TriggerHandler(NamedTuple):
     callback: Callable[[list], object]
     extras: tuple = ()
 
-    def fire(self, store: "TriggerStore", key: str) -> None:
-        self.callback([store, key, *self.extras])
-
 
 def check_token(token, what: str = "key") -> str:
     """Return ``token`` if it is one non-empty whitespace-free word, else
@@ -122,9 +119,7 @@ class TriggerStore:
     # triggered access
 
     def write(self, key: str, value: str) -> None:
-        check_token(key)
-        self._backend[key] = _check_value(value)
-        advance_epoch()
+        self.untriggered_write(key, value)
         self._fire(_WRITE, key)
 
     def read(self, key: str) -> str:
@@ -132,9 +127,7 @@ class TriggerStore:
         if not (isinstance(key, str) and key in self._backend):
             check_token(key)
         self._fire(_READ, key)
-        if key not in self._backend:
-            raise KeyNotFound(f"key not found: {key!r}")
-        return self._backend[key]
+        return self.untriggered_read(key)
 
     def quiet_read(self, key: str) -> str | None:
         """``key``'s value in one dict read; None if it is missing or a handler could fire."""
@@ -149,7 +142,9 @@ class TriggerStore:
 
     def untriggered_write(self, key: str, value: str) -> None:
         check_token(key)
-        self._backend[key] = _check_value(value)
+        if not isinstance(value, str):
+            raise TypeError(f"store values are strings, got {type(value).__name__}")
+        self._backend[key] = value
         advance_epoch()
 
     def untriggered_read(self, key: str) -> str:
@@ -214,7 +209,7 @@ class TriggerStore:
         self._depth += 1
         try:
             for handler in pending:
-                handler.fire(self, key)
+                handler.callback([self, key, *handler.extras])
         finally:
             self._depth -= 1
 
@@ -265,12 +260,6 @@ class TriggerStore:
 
     def items(self):
         return self._backend.items()
-
-
-def _check_value(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"store values are strings, got {type(value).__name__}")
-    return value
 
 
 _PROBE_A = "__runjob_backend_probe_a__"

@@ -248,6 +248,27 @@ class TestRunCommand:
         assert capsys.readouterr().err == (f"error: {script}:2: "
                                            "loop bound '$(k)' is not an integer\n")
 
+    @pytest.mark.parametrize("bounds", ["1 2", "1 0"])
+    def test_check_walks_a_loop_body_once(self, tmp_path, capsys, bounds):
+        script, part = tmp_path / "main.mac", tmp_path / "part.mac"
+        script.write_text(f"attach ScriptGen\nloop i {bounds}\nsource part.mac\nendloop\n")
+        part.write_text("attach Step\nbogus directive here\n")
+        assert run_cli("run", str(script), "--check") == 1
+        assert capsys.readouterr().err == f"error: {part}:2: unknown directive 'bogus'\n"
+
+    def test_check_finds_a_source_cycle_inside_a_loop(self, tmp_path, capsys):
+        script = tmp_path / "self.mac"
+        script.write_text("loop i 1 2\nsource self.mac\nendloop\n")
+        assert run_cli("run", str(script), "--check") == 1
+        assert capsys.readouterr().err == (f"error: {script}:2: {script} "
+                                           "is already being sourced\n")
+
+    def test_check_leaves_a_per_iteration_source_path_to_the_run(self, tmp_path, capsys):
+        script = tmp_path / "main.mac"
+        script.write_text("attach ScriptGen\nloop i 1 2\nsource part$(i).mac\nendloop\n")
+        assert run_cli("run", str(script), "--check") == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("flags", [("--check",), ("--run-mode", "dry-run")])
     def test_nul_byte_in_a_source_path_is_a_clean_error(self, tmp_path, capsys, flags):
         script = tmp_path / "s.mac"
@@ -421,6 +442,21 @@ class TestRunCommand:
         run_cli("run", str(fixtures / "helloworld.mac"), "--out", str(tmp_path / "build"),
                 "--dump", str(dump_path), "--resolve", "--run-mode", "dry-run")
         assert "define HelloMessage Salut le Monde" in dump_path.read_text()
+
+    @pytest.mark.parametrize("out", ["o#1", "o  1", "o\n1"],
+                             ids=["hash", "double-space", "newline"])
+    @pytest.mark.parametrize("dump", ["-", "state.mac"], ids=["stdout", "file"])
+    def test_resolved_value_that_would_not_source_back_is_an_error(self, fixtures, tmp_path,
+                                                                   capsys, out, dump):
+        dump_path = tmp_path / dump
+        target = "-" if dump == "-" else str(dump_path)
+        assert run_cli("run", str(fixtures / "helloworld.mac"), "--out", str(tmp_path / out),
+                       "--run-mode", "dry-run", "--dump", target, "--resolve") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Fork:ExecutableList: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert "# runjob state dump" not in captured.out
+        assert not dump_path.exists()
 
     def test_no_framework_skips_generation(self, fixtures, tmp_path):
         out = tmp_path / "build"
