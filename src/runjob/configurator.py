@@ -334,10 +334,10 @@ class Configurator:
         the value last resolved.  A rejected definition leaves the key's
         previous one in place.
         """
-        if expression.kind == "literal":  # the store write checks the key
+        check_token(key)  # before _definitions, which a list key cannot index
+        if expression.kind == "literal":
             self._definitions.pop(key, None)
             return self.store.write(key, expression.text)
-        check_token(key)
         if expression.kind == "construct" and key not in self._constructors:
             raise NoConstructRegistered(
                 f"{self.identifier}: no construct function registered for {key!r}")

@@ -181,7 +181,6 @@ class Loop(Directive):
         self.start = start
         self.stop = stop
         self.body = [] if body is None else body
-        self.plan = None  # substitution_plan(body, var), made when the loop first runs
 
     def describe(self) -> str:
         return f"loop {self.var} {self.start} {self.stop} body={len(self.body)}"
@@ -281,6 +280,8 @@ def parse_block(lines: list[LogicalLine], filename: str | None = None,
             end = _matching_endloop(lines, index, filename)
             loop = _parse_loop_header(line, filename, loop_vars)
             loop.body = parse_block(lines[index + 1:end], filename, (*loop_vars, loop.var))
+            if len(lines[end].tokens) > 1:
+                raise ParseError("usage: endloop", filename=filename, lineno=lines[end].lineno)
             directives.append(loop)
             index = end
         else:
@@ -308,7 +309,7 @@ def substitution_plan(directives: list[Directive], var: str) -> list[list[tuple]
                 inner = [] if directive.var == var else substitution_plan(current, var)
                 if any(inner):
                     fields.append((name, inner))
-            elif isinstance(current, list) and name != "plan":
+            elif isinstance(current, list):
                 positions = [index for index, token in enumerate(current) if marker in token]
                 if positions:
                     fields.append((name, positions))
@@ -317,11 +318,11 @@ def substitution_plan(directives: list[Directive], var: str) -> list[list[tuple]
 
 
 def substitute_block(directives: list[Directive], var: str, value: str,
-                     plan: list[list[tuple]] | None = None) -> list[Directive]:
+                     plan: list[list[tuple]]) -> list[Directive]:
     """Copies of ``directives`` with ``$(var)`` replaced by ``value`` in every
     string field.  A nested loop that re-binds ``var`` substitutes only its
     own header: its bounds see the outer value, its body is shadowed.  Only
-    the fields that ``plan`` names are rebuilt; a changed loop body is replanned.
+    the fields that ``plan`` (their ``substitution_plan``) names are rebuilt.
 
     Substituting into parsed directives gives what re-parsing the
     substituted text would: loop values are integers, so a substituted token
@@ -329,7 +330,6 @@ def substitute_block(directives: list[Directive], var: str, value: str,
     ``loop`` or ``endloop``, the only tokens that steer the parser.
     """
     marker = f"$({var})"
-    plan = substitution_plan(directives, var) if plan is None else plan
     result = []
     for directive, fields in zip(directives, plan):
         state = directive.__dict__.copy()
@@ -338,7 +338,6 @@ def substitute_block(directives: list[Directive], var: str, value: str,
                 state[name] = state[name].replace(marker, value)
             elif name == "body":
                 state[name] = substitute_block(state[name], var, value, where)
-                state["plan"] = None
             else:
                 tokens = state[name] = state[name].copy()
                 for index in where:
@@ -404,7 +403,7 @@ class MacroInterpreter:
     def _execute_loop(self, loop: Loop, filename: str | None) -> None:
         start, stop = (_loop_bound(bound, loop.lineno, filename)
                        for bound in (loop.start, loop.stop))
-        plan = loop.plan = loop.plan or substitution_plan(loop.body, loop.var)
+        plan = substitution_plan(loop.body, loop.var)
         for value in range(start, stop + 1):
             self.run_directives(substitute_block(loop.body, loop.var, str(value), plan), filename)
 

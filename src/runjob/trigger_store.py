@@ -184,13 +184,6 @@ class TriggerStore:
                     return
         raise ValueError(f"no trigger registered with id {handler_id}")
 
-    def read_handler_ids(self, key: str) -> list[int]:
-        """Ids of the handlers a triggered read of ``key`` fires, in firing order."""
-        handlers = self._handlers
-        return [handler.handler_id
-                for slot in ((_READ, None), (_READ, key))
-                for handler in handlers.get(slot, ())]
-
     def fires_on_read(self, key: str) -> bool:
         """Whether a triggered read of ``key`` fires a handler (no slot is kept empty)."""
         handlers = self._handlers

@@ -270,6 +270,26 @@ class TestRunCommand:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("flags", [("--check",), ("--run-mode", "dry-run")])
+    @pytest.mark.parametrize("text, lineno", [
+        ("loop i 1 2\nattach Step named s$(i)\nendloop extra\n", 3),
+        ("loop i 1 2\nloop j 1 2\nattach Step named s$(i)x$(j)\nendloop extra\nendloop\n", 4),
+        ("loop i 1 0\nattach Step named s$(i)\nendloop extra\n", 3),
+    ], ids=["top-level", "nested", "empty-range"])
+    def test_endloop_stands_alone_on_its_line(self, tmp_path, capsys, flags, text, lineno):
+        script = tmp_path / "e.mac"
+        script.write_text(text)
+        assert run_cli("run", str(script), "--out", str(tmp_path / "out"), *flags) == 1
+        assert capsys.readouterr().err == f"error: {script}:{lineno}: usage: endloop\n"
+
+    @pytest.mark.parametrize("flags", [("--check",), ("--run-mode", "dry-run")])
+    def test_endloop_may_carry_a_comment(self, tmp_path, capsys, flags):
+        script = tmp_path / "e.mac"
+        script.write_text("attach ScriptGen\nloop i 1 2\nattach Step named s$(i)\n"
+                          "endloop # done\n")
+        assert run_cli("run", str(script), "--out", str(tmp_path / "out"), *flags) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("flags", [("--check",), ("--run-mode", "dry-run")])
     def test_nul_byte_in_a_source_path_is_a_clean_error(self, tmp_path, capsys, flags):
         script = tmp_path / "s.mac"
         script.write_bytes(b"source a\x00b.mac\n")

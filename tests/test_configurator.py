@@ -147,6 +147,21 @@ class TestDefine:
             cfg.define("InputFile", ValueExpression.construct())
         assert cfg.dump_commands() == ["define InputFile ::B:InputFile"]
 
+    @pytest.mark.parametrize("expression", [
+        ValueExpression.literal("v"),
+        ValueExpression.reference("B", "k"),
+        ValueExpression.synonym(),
+        ValueExpression.construct(),
+    ], ids=["literal", "reference", "synonym", "construct"])
+    @pytest.mark.parametrize("key", [["k"], "a b", ""], ids=["list", "two-words", "empty"])
+    def test_bad_key_is_rejected_before_anything_changes(self, key, expression):
+        cfg = bare()
+        cfg.define("InputFile", ValueExpression.reference("B", "InputFile"))
+        before = cfg.dump_commands()
+        with pytest.raises(InvalidKey):
+            cfg.define(key, expression)
+        assert cfg.dump_commands() == before
+
 
 class Custom(Configurator):
     def __init__(self, description):
@@ -472,7 +487,7 @@ class TestResolveValue:
         cfg.apply_macro("define k0 root")
         for i in range(1, 20):
             cfg.apply_macro(f"define k{i} ::A:k{i - 1}")
-        assert cfg.store.read_handler_ids("k19") == []
+        assert not cfg.store.fires_on_read("k19")
         assert cfg.resolve_value("k19") == "root"
 
     def test_resolution_is_repeatable(self, linker):

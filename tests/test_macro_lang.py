@@ -373,6 +373,27 @@ class TestParseOnce:
         assert len(calls) == 2
         assert len(linker.calls) == 2000
 
+    def test_a_run_leaves_the_parsed_directives_as_parsed(self, linker):
+        def fields(directives):  # vars() of each directive, loop bodies in turn
+            return [{name: fields(value) if name == "body" else
+                     list(value) if isinstance(value, list) else value
+                     for name, value in vars(directive).items()}
+                    for directive in directives]
+
+        directives = parse_script("attach HelloWorldScriptGen\n"
+                                  "loop i 1 2\n"
+                                  "attach HelloWorld named h$(i)\n"
+                                  "cfg HelloWorld named h$(i) define English Hi $(i)\n"
+                                  "loop j 1 $(i)\n"
+                                  "framework group g$(i)x$(j) Reset\n"
+                                  "endloop\n"
+                                  "endloop\n"
+                                  "framework run Reset MakeJob\n", "n.mac")
+        before = fields(directives)
+        MacroInterpreter(linker).run_directives(directives, "n.mac")
+        assert len(linker.configurators) == 3
+        assert fields(directives) == before
+
 
 class TestSource:
     def test_source_executes_relative_file(self, linker, tmp_path):

@@ -17,7 +17,7 @@ from runjob import (
 )
 from runjob.configurator import Requirement
 from runjob.errors import InvalidKey
-from runjob.macro_lang import Loop, parse_script, substitute_block
+from runjob.macro_lang import Loop, parse_script, substitute_block, substitution_plan
 from runjob.trigger_store import TriggerHandler
 
 
@@ -116,7 +116,7 @@ def test_substitute_block_copies_nested_loops():
                           "\n"
                           "endloop\n")
     before = _describe([loop])
-    copies = substitute_block(loop.body, loop.var, "7")
+    copies = substitute_block(loop.body, loop.var, "7", substitution_plan(loop.body, loop.var))
     assert _describe(copies) == [
         "attach Step named s7",
         "cfg Step named s7 :: define Args -n 7",

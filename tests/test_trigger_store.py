@@ -351,11 +351,12 @@ class TestEpoch:
         assert store.untriggered_read("k") == "resolved"
         assert current_epoch() == before
 
-    def test_read_handler_ids_in_firing_order(self):
+    def test_fires_on_read_only_for_read_handlers(self):
         store = TriggerStore()
-        indexed = store.register_trigger(indexed_read("k"), lambda args: None)
-        store.register_trigger(indexed_read("other"), lambda args: None)
-        store.register_trigger(indexed_write("k"), lambda args: None)
-        glob = store.register_trigger(GLOBAL_READ, lambda args: None)
-        assert store.read_handler_ids("k") == [glob, indexed]
-        assert store.read_handler_ids("none") == [glob]
+        store.register_trigger(indexed_read("k"), lambda args: None)
+        store.register_trigger(indexed_write("w"), lambda args: None)
+        assert store.fires_on_read("k")
+        assert not store.fires_on_read("w")
+        assert not store.fires_on_read("none")
+        store.register_trigger(GLOBAL_READ, lambda args: None)
+        assert all(store.fires_on_read(key) for key in ("k", "w", "none"))
