@@ -12,7 +12,6 @@ from .configurator import (
     Configurator,
     ConfiguratorDescription,
     DependencyPattern,
-    Outcome,
     ValueExpression,
 )
 from .linker import DispatchRecord, Linker
@@ -39,7 +38,6 @@ __all__ = [
     "GLOBAL_READ",
     "GLOBAL_WRITE",
     "Linker",
-    "Outcome",
     "ScriptGen",
     "ScriptObject",
     "TriggerKind",

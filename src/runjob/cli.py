@@ -165,7 +165,8 @@ def wait_for_jobs(linker: Linker) -> None:
 REPL_HELP = """\
 directives: attach / cfg / framework run / framework group / source / loop ... endloop
 builtins:   dump        print the declarative state dump
-            quit        leave the session
+            help        print this text
+            quit, exit  leave the session
 """
 
 

@@ -137,20 +137,6 @@ class Requirement(NamedTuple):
     auto: bool = False  # implied by a scriptgen registration; not dumped
 
 
-class Outcome(NamedTuple):
-    """Result of dispatching one framework message to one configurator."""
-
-    kind: str  # "Handled" | "Delegated" | "Skipped"
-    target: ConfiguratorDescription | None = None
-
-    def __str__(self) -> str:
-        return f"Delegated to {self.target.identifier}" if self.kind == "Delegated" else self.kind
-
-
-HANDLED = Outcome("Handled")
-SKIPPED = Outcome("Skipped")
-
-
 class ValueExpression(NamedTuple):
     """Right-hand side of a define: literal text, a cross-namespace reference,
     a synonym-table lookup, or a registered construct function."""
@@ -395,17 +381,18 @@ class Configurator:
 
     # framework dispatch
 
-    def handle_framework(self, message: str) -> Outcome:
+    def handle_framework(self, message: str) -> str:
         """Dispatch one framework message: stored commands first, then MakeJob
-        to the delegate or :meth:`on_message`.  Skipped means no side effects."""
+        to the delegate or :meth:`on_message`.  Answers "Handled", "Skipped"
+        (no side effects) or "Delegated to <scriptgen identifier>"."""
         stored = self._stored_commands.get(message)
         if stored:
             for _, call in list(stored):  # a command may store another oncall
                 call()
         if message == "MakeJob" and self.delegate is not None:
             self._linker.find_by_description(self.delegate).delegated_make_job(self)
-            return tuple.__new__(Outcome, ("Delegated", self.delegate))
-        return HANDLED if self.on_message(message) or stored else SKIPPED
+            return "Delegated to " + self.delegate.identifier
+        return "Handled" if self.on_message(message) or stored else "Skipped"
 
     def on_message(self, message: str) -> bool:
         """Answer ``message`` and return True, or return False to skip it.

@@ -37,8 +37,8 @@ class InvalidKey(RunjobError):
 
 
 class RecursionLimitExceeded(RunjobError):
-    """Trigger handlers nested triggered accesses past the store's cap, or a
-    reference chain was too deep for the interpreter stack to resolve."""
+    """Trigger handlers nested store accesses past its cap, or a reference chain,
+    loops, sources or oncall commands nested deeper than the interpreter stack."""
 
 
 class BackendContractViolation(RunjobError):

@@ -20,7 +20,6 @@ from .configurator import (
     Configurator,
     ConfiguratorDescription,
     DependencyPattern,
-    Outcome,
     format_identifier,
     parse_identifier,
 )
@@ -42,7 +41,7 @@ DEFAULT_RUN_MODE = "foreground"
 class DispatchRecord(NamedTuple):
     message: str
     description: ConfiguratorDescription
-    outcome: Outcome
+    outcome: str  # what handle_framework answered
 
 
 class Linker:

@@ -33,6 +33,7 @@ from .errors import (
     IncompleteInput,
     MacroParseError,
     ParseError,
+    RecursionLimitExceeded,
     RunjobError,
     SourceCycle,
 )
@@ -274,19 +275,22 @@ def parse_block(lines: list[LogicalLine], filename: str | None = None,
     """
     directives: list[Directive] = []
     index = 0
-    while index < len(lines):
-        line = lines[index]
-        if _head(line) == LOOP_KEYWORD:
-            end = _matching_endloop(lines, index, filename)
-            loop = _parse_loop_header(line, filename, loop_vars)
-            loop.body = parse_block(lines[index + 1:end], filename, (*loop_vars, loop.var))
-            if len(lines[end].tokens) > 1:
-                raise ParseError("usage: endloop", filename=filename, lineno=lines[end].lineno)
-            directives.append(loop)
-            index = end
-        else:
-            directives.append(parse_directive(line, filename))
-        index += 1
+    try:
+        while index < len(lines):
+            line = lines[index]
+            if _head(line) == LOOP_KEYWORD:
+                end = _matching_endloop(lines, index, filename)
+                loop = _parse_loop_header(line, filename, loop_vars)
+                loop.body = parse_block(lines[index + 1:end], filename, (*loop_vars, loop.var))
+                if len(lines[end].tokens) > 1:
+                    raise ParseError("usage: endloop", filename=filename, lineno=lines[end].lineno)
+                directives.append(loop)
+                index = end
+            else:
+                directives.append(parse_directive(line, filename))
+            index += 1
+    except RecursionError:  # loops nested deeper than the interpreter stack allows
+        raise RecursionLimitExceeded("nested too deeply", filename=filename, lineno=line.lineno)
     return directives
 
 
@@ -376,10 +380,12 @@ class MacroInterpreter:
         for directive in directives:
             try:
                 self.execute(directive, filename)
+            except RecursionError:  # loops, sources or oncall commands nested too deeply
+                raise RecursionLimitExceeded("nested too deeply", filename=filename,
+                                             lineno=directive.lineno) from None
             except RunjobError as exc:
                 if exc.lineno is None:
-                    exc.lineno = directive.lineno
-                    exc.filename = filename
+                    exc.lineno, exc.filename = directive.lineno, filename
                 raise
 
     def execute(self, directive: Directive, filename: str | None = None) -> None:

@@ -75,14 +75,14 @@ def indexed_write(key: str) -> TriggerKind:
 
 
 class TriggerHandler(NamedTuple):
-    """A registered callback plus the extra values fixed at registration time.
+    """A registered callback plus the extra values fixed at registration time,
+    filed in its store under the kind it was registered for.
 
     The callback receives a single list argument: element 0 is the store,
     element 1 is the key that was accessed, the rest are the extras.
     """
 
     handler_id: int
-    kind: TriggerKind
     callback: Callable[[list], object]
     extras: tuple = ()
 
@@ -167,7 +167,7 @@ class TriggerStore:
 
         The callback must accept one list argument: [store, key, *extras].
         """
-        handler = TriggerHandler(self._next_id, kind, callback, tuple(extras))
+        handler = TriggerHandler(self._next_id, callback, tuple(extras))
         self._next_id += 1
         self._handlers.setdefault((kind.mode, kind.key), []).append(handler)
         advance_epoch()

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import io
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -173,7 +174,13 @@ class TestRunCommand:
          "Fork: unknown macro 'frobnicate'"),
         ("attach ScriptGen\ncfg ScriptGen oncall MakeScript do register\n",
          "usage: register <configurator-type>"),
-    ], ids=["unknown verb", "subclass verb"])
+        ("attach Step\ncfg Step addreq\n", "usage: addreq <cfg-identifier>"),
+        ("attach Step\ncfg Step define k ::synonym:\n",
+         "malformed synonym expression '::synonym:'"),
+        ("attach Step\ncfg Step synonym k ::synonym:\n",
+         "malformed synonym expression '::synonym:'"),
+    ], ids=["unknown verb", "subclass verb", "addreq without identifier",
+            "define with empty synonym key", "synonym with empty synonym key"])
     def test_stored_oncall_is_checked_at_its_line(self, tmp_path, capsys, text, error):
         script = tmp_path / "oncall.mac"
         script.write_text(text + "attach Step\n")
@@ -640,6 +647,18 @@ class TestRepl:
         assert "error:" in out
         assert "attach Fork" in out
 
+    def test_help_lists_every_builtin(self, tmp_path):
+        out = self.drive(make_linker(output_dir=tmp_path), "help\nquit\n")
+        assert out == cli.REPL_HELP
+        words = out.replace(",", " ").split()
+        assert all(builtin in words for builtin in ("dump", "help", "quit", "exit"))
+
+    def test_too_deep_nest_is_printed_and_session_continues(self, tmp_path):
+        linker = make_linker(output_dir=tmp_path)
+        out = self.drive(linker, nested_loops(1000) + "attach Step\ndump\n")
+        assert re.match(r"error: <input>:\d+: nested too deeply\n", out)
+        assert "attach Step\n" in out
+
 
 def test_module_entry_point(fixtures, tmp_path):
     out = tmp_path / "build"
@@ -704,6 +723,50 @@ def test_too_deep_reference_chain_is_a_clean_error(tmp_path):
     assert finished.stderr.startswith("error: reference chain from Step named S")
     assert ":InputFile is too deep to resolve" in finished.stderr
     assert "Traceback" not in finished.stderr
+
+
+def nested_loops(depth) -> str:
+    """``depth`` nested one-iteration loops, each with its own variable,
+    around one ``attach``."""
+    return ("".join(f"loop v{k} 1 1\n" for k in range(depth)) + "attach HelloWorld\n"
+            + "endloop\n" * depth)
+
+
+def write_deep_script(tmp_path, kind, depth) -> Path:
+    """A script nesting ``depth`` loops, ``source`` files or ``oncall`` commands."""
+    if kind == "sources":  # each file sources the next; the last attaches a step
+        for i in range(depth - 1):
+            (tmp_path / f"s{i}.mac").write_text(f"source s{i + 1}.mac\n")
+        (tmp_path / f"s{depth - 1}.mac").write_text("attach HelloWorld\n")
+        return tmp_path / "s0.mac"
+    script = tmp_path / f"{kind}.mac"
+    script.write_text(nested_loops(depth) if kind == "loops" else
+                      "attach HelloWorld\ncfg HelloWorld " + "oncall RunJob do " * depth
+                      + "additem k\n")
+    return script
+
+
+@pytest.mark.parametrize("kind, depth, flags", [
+    ("loops", 600, ()),  # parses, then fails while running
+    ("loops", 600, ("--check",)),
+    ("loops", 1000, ()),  # fails while parsing
+    ("loops", 1000, ("--check",)),
+    ("sources", 400, ()),
+    ("sources", 400, ("--check",)),
+    ("oncalls", 1000, ()),
+])
+def test_too_deep_nesting_is_a_clean_error(tmp_path, kind, depth, flags):
+    # the stack runs out at a line that depends on how deep the caller
+    # already is, so the line number is not pinned
+    script = write_deep_script(tmp_path, kind, depth)
+    finished = subprocess.run(
+        [sys.executable, "-m", "runjob", "run", str(script), "--out", str(tmp_path / "build"),
+         "--run-mode", "dry-run", *flags],
+        capture_output=True, text=True)
+    assert finished.returncode == 1
+    assert "Traceback" not in finished.stderr
+    assert re.fullmatch(rf"error: {re.escape(str(tmp_path.resolve()))}/\w+\.mac:\d+: "
+                        r"nested too deeply\n", finished.stderr), finished.stderr
 
 
 def test_in_order_deep_reference_chain_resolves(tmp_path):

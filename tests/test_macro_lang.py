@@ -146,6 +146,7 @@ class TestParseDirective:
         "framework run",
         "source a b",
         "endloop",
+        "loop i 1\nendloop",
         "mystery token",
     ])
     def test_parse_errors(self, text):

@@ -10,10 +10,11 @@ from runjob import (
     ConfiguratorDescription,
     DependencyPattern,
     DispatchRecord,
-    Outcome,
     ScriptObject,
     TriggerKind,
     ValueExpression,
+    execute_script,
+    make_linker,
 )
 from runjob.configurator import Requirement
 from runjob.errors import InvalidKey
@@ -30,15 +31,13 @@ RECORDS = {
     "ConfiguratorDescription": (lambda: ConfiguratorDescription("Step", "s1"), "type_name"),
     "DependencyPattern": (lambda: DependencyPattern("Step"), "type_name"),
     "Requirement": (lambda: Requirement(DependencyPattern("Step", "s1"), auto=True), "pattern"),
-    "Outcome": (lambda: Outcome("Delegated", ConfiguratorDescription("ScriptGen")), "kind"),
     "ValueExpression": (lambda: ValueExpression.reference("S0", "InputFile"), "ref"),
     "ScriptObject": (lambda: ScriptObject("job_Step_s1", "shell", "echo hi",
                                           ConfiguratorDescription("Step", "s1")), "payload"),
     "TriggerKind": (lambda: TriggerKind("read", "k"), "mode"),
-    "TriggerHandler": (lambda: TriggerHandler(0, TriggerKind("write"), _callback, ("x",)),
-                       "extras"),
+    "TriggerHandler": (lambda: TriggerHandler(0, _callback, ("x",)), "extras"),
     "DispatchRecord": (lambda: DispatchRecord("MakeJob", ConfiguratorDescription("Step", "s1"),
-                                              Outcome("Handled")), "outcome"),
+                                              "Handled"), "outcome"),
 }
 
 
@@ -66,7 +65,18 @@ def test_different_fields_compare_unequal():
     assert ConfiguratorDescription("Step", "s1") != ConfiguratorDescription("Step", "s2")
     assert DependencyPattern("Step") != DependencyPattern("Step", "Step")
     assert Requirement(DependencyPattern("A")) != Requirement(DependencyPattern("A"), auto=True)
-    assert Outcome("Handled") != Outcome("Skipped")
+
+
+def test_dispatch_outcomes_are_text(tmp_path, helloworld_text):
+    linker = make_linker(output_dir=tmp_path, run_mode="dry-run")
+    execute_script(linker, helloworld_text)
+    records = linker.run_framework("Reset", "MakeJob", "MakeScript", "RunJob")
+    assert {type(record.outcome) for record in records} == {str}
+    assert "Delegated to HelloWorldScriptGen" in [record.outcome for record in records]
+
+
+def test_trigger_handler_keeps_no_copy_of_its_kind():
+    assert TriggerHandler._fields == ("handler_id", "callback", "extras")
 
 
 def test_instance_name_defaults_to_type_name():
