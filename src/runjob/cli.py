@@ -118,6 +118,9 @@ def _run_or_check(args) -> int:
         if args.dump == "-":
             sys.stdout.write(linker.dump_state(resolve=args.resolve))
         elif args.dump is not None:
+            target = os.path.realpath(args.dump)  # refuse to replace an artifact of this run
+            if os.path.relpath(target, os.path.realpath(linker.output_dir)) in linker.written:
+                raise RunjobError(f"--dump {args.dump}: this run wrote that file")
             path, text = Path(args.dump), linker.dump_state(resolve=args.resolve)
             if path.is_symlink() or path.exists() and not path.is_file():
                 try:  # a link, pipe or device: write through

@@ -15,6 +15,7 @@ This module also owns the configurator identifier grammar, "Type" or
 
 from __future__ import annotations
 
+import sys
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
@@ -28,7 +29,7 @@ from .errors import (
     RunjobError,
     UnknownMacro,
 )
-from .trigger_store import TriggerStore, advance_epoch, check_token, current_epoch
+from .trigger_store import NO_ENTRIES, TriggerStore, advance_epoch, check_token, current_epoch
 
 # Counts reads whose value can change with no mutation: a construct run, or a
 # store read that fires user read handlers.  A definition keeps its value
@@ -142,9 +143,13 @@ class ValueExpression(NamedTuple):
     a synonym-table lookup, or a registered construct function."""
 
     kind: str  # "literal" | "reference" | "synonym" | "construct"
-    text: str  # literal value, or the original ::-token for the other kinds
+    token: str | None  # literal value, or the ::-token of a synonym or construct
     ref: tuple[str, str] | None = None  # (identifier token, remote key)
     synonym_key: str | None = None  # explicit ::synonym:key form
+
+    @property
+    def text(self) -> str:  # the original ::-token of a reference is rendered when read
+        return self.token if self.ref is None else "::{}:{}".format(*self.ref)
 
     @classmethod
     def literal(cls, value: str) -> "ValueExpression":
@@ -152,7 +157,7 @@ class ValueExpression(NamedTuple):
 
     @classmethod
     def reference(cls, identifier: str, key: str) -> "ValueExpression":
-        return tuple.__new__(cls, ("reference", f"::{identifier}:{key}", (identifier, key), None))
+        return tuple.__new__(cls, ("reference", None, (identifier, key), None))
 
     @classmethod
     def synonym(cls, key: str | None = None) -> "ValueExpression":
@@ -190,7 +195,7 @@ def parse_expression(tokens: Sequence[str]) -> ValueExpression:
         identifier, sep, key = body.partition(":")
         if not sep or not identifier or not key:
             raise MacroParseError(f"malformed reference {head!r}")
-        return ValueExpression.reference(identifier, key)
+        return ValueExpression.reference(sys.intern(identifier), key)  # one name, many references
     return ValueExpression.literal(" ".join(tokens))
 
 
@@ -227,19 +232,24 @@ class Configurator:
 
     def __init__(self, description: ConfiguratorDescription):
         self.description = description
-        self.store = TriggerStore()
-        self._synonyms: dict[str, tuple[str, str]] = {}
+        self.store = TriggerStore(dict.fromkeys(self.SCHEMA, ""))  # a new store: no epoch step
+        # each container is shared and empty until its first write makes one of our own
+        self._synonyms: dict[str, tuple[str, str]] = NO_ENTRIES
         # by pattern, in declaration order; a pattern is a (type, name or None) key
-        self._requirements: dict[tuple[str, str | None], Requirement] = {}
+        self._requirements: dict[tuple[str, str | None], Requirement] = NO_ENTRIES
         self.delegate: ConfiguratorDescription | None = None  # scriptgen that makes our job
         # per message: (command text, the call that applies it), in storing order
-        self._stored_commands: dict[str, list[tuple[str, Callable[[], object]]]] = {}
-        self._constructors: dict[str, Callable[[], object]] = {}
-        self._definitions: dict[str, _Definition] = {}  # lazy definitions only
+        self._stored_commands: dict[str, list[tuple[str, Callable[[], object]]]] = NO_ENTRIES
+        self._constructors: dict[str, Callable[[], object]] = NO_ENTRIES
+        self._definitions: dict[str, _Definition] = NO_ENTRIES  # lazy definitions only
         self._linker = None
-        self.store.backend.update(dict.fromkeys(self.SCHEMA, ""))  # a new store: no epoch step
         for pattern in self.STATIC_REQUIREMENTS:
             self.add_requirement(pattern)
+
+    def _writable(self, name: str) -> dict:
+        if getattr(self, name) is NO_ENTRIES:
+            setattr(self, name, {})
+        return getattr(self, name)
 
     @property
     def identifier(self) -> str:
@@ -322,12 +332,13 @@ class Configurator:
         """
         check_token(key)  # before _definitions, which a list key cannot index
         if expression.kind == "literal":
-            self._definitions.pop(key, None)
-            return self.store.write(key, expression.text)
+            if key in self._definitions:
+                del self._definitions[key]
+            return self.store.write(key, expression.token)
         if expression.kind == "construct" and key not in self._constructors:
             raise NoConstructRegistered(
                 f"{self.identifier}: no construct function registered for {key!r}")
-        self._definitions.pop(key, None)
+        self._writable("_definitions").pop(key, None)
         self.add_item(key)
         self._definitions[key] = _Definition(expression)
         advance_epoch()
@@ -349,35 +360,37 @@ class Configurator:
                 f"{self.identifier}: cannot resolve {expression.text!r} without a linker")
         return self._linker.lookup_parameter(self.description, identifier, remote_key)
 
-    def add_requirement(self, pattern: DependencyPattern, auto: bool = False) -> Requirement:
-        """Record a dependency; strict linkers validate it immediately."""
+    def add_requirement(self, pattern: DependencyPattern | Requirement, auto=False) -> Requirement:
+        """Record a dependency, or share a given Requirement; strict linkers check it."""
+        requirement = pattern if isinstance(pattern, Requirement) else Requirement(pattern, auto)
+        pattern = requirement.pattern
         existing = self._requirements.get(pattern)
         if existing is not None:
-            if existing.auto and not auto:
+            if existing.auto and not requirement.auto:
                 # an explicit addreq outranks the registration-implied edge
-                existing = self._requirements[pattern] = Requirement(pattern, auto=False)
+                existing = self._requirements[pattern] = requirement
             return existing
         if self._linker is not None and self._linker.strict:
             self._linker.require_attached(self, pattern)
         # no epoch step: a requirement only widens visibility, and no failure is memoized
-        self._requirements[pattern] = requirement = Requirement(pattern, auto)
+        self._writable("_requirements")[pattern] = requirement
         return requirement
 
     def set_synonym(self, key: str, target: tuple[str, str]) -> None:
         check_token(key)
         identifier, remote_key = target
-        self._synonyms[key] = (check_token(identifier, "identifier"),
-                              check_token(remote_key))
+        self._writable("_synonyms")[key] = (check_token(identifier, "identifier"),
+                                            check_token(remote_key))
         advance_epoch()
 
     def _store_call(self, message: str, text: str, call: Callable[[], object]) -> None:
         check_token(message, "message")
-        self._stored_commands.setdefault(message, []).append((text, call))
+        self._writable("_stored_commands").setdefault(message, []).append((text, call))
 
     def register_construct(self, key: str, fn: Callable[[], object]) -> None:
         """Attach a zero-argument construct function for ``key`` (developer
         API, not reachable from macros)."""
-        self._constructors[check_token(key)] = fn
+        self._writable("_constructors")[check_token(key)] = fn
 
     # framework dispatch
 

@@ -20,6 +20,7 @@ from .configurator import (
     Configurator,
     ConfiguratorDescription,
     DependencyPattern,
+    Requirement,
     format_identifier,
     parse_identifier,
 )
@@ -58,9 +59,10 @@ class Linker:
         self.framework_groups: dict[str, list[str]] = {}
         self._strict = bool(strict)
         self.output_dir = Path(output_dir)
+        self.written: set[str] = set()  # the names materialize wrote under output_dir
         self.run_mode = run_mode
-        # (scriptgen, delegator type) to the scriptgen's pattern, in order of latest registration
-        self._registrations: dict[tuple[Configurator, str], DependencyPattern] = {}
+        # (scriptgen, delegator type) to the requirement its delegators share, latest last
+        self._registrations: dict[tuple[Configurator, str], Requirement] = {}
 
     @property
     def strict(self) -> bool:
@@ -101,9 +103,9 @@ class Linker:
             for requirement in cfg.requirements:
                 if requirement.pattern not in ((type_name, None), description):
                     self.require_attached(cfg, requirement.pattern)
-        for (scriptgen, delegator_type), pattern in self._registrations.items():
+        for (scriptgen, delegator_type), requirement in self._registrations.items():
             if delegator_type == type_name:
-                self._delegate(cfg, scriptgen, pattern)
+                self._delegate(cfg, scriptgen, requirement)
         self._configurators[key] = cfg
         self._by_description[description] = cfg
         name = description.instance_name
@@ -165,17 +167,17 @@ class Linker:
         if delegator_type not in self._types:
             raise UnknownType(f"unknown configurator type {delegator_type!r}")
         self._registrations.pop((scriptgen, delegator_type), None)
-        pattern = DependencyPattern(*scriptgen.description)
-        self._registrations[(scriptgen, delegator_type)] = pattern
+        requirement = Requirement(DependencyPattern(*scriptgen.description), auto=True)
+        self._registrations[(scriptgen, delegator_type)] = requirement
         for cfg in self._configurators.values():
             if cfg.description.type_name == delegator_type:
-                self._delegate(cfg, scriptgen, pattern)
+                self._delegate(cfg, scriptgen, requirement)
 
     @staticmethod
-    def _delegate(cfg: Configurator, scriptgen: Configurator, pattern: DependencyPattern) -> None:
-        """Route ``cfg``'s MakeJob to ``scriptgen``, named by ``pattern``, which ``cfg`` needs."""
+    def _delegate(cfg: Configurator, scriptgen: Configurator, requirement: Requirement) -> None:
+        """Route ``cfg``'s MakeJob to ``scriptgen``, which ``cfg`` needs by ``requirement``."""
         cfg.delegate = scriptgen.description
-        cfg.add_requirement(pattern, auto=True)
+        cfg.add_requirement(requirement)
 
     # framework
 
@@ -255,8 +257,9 @@ class Linker:
         return len(stale)
 
     def materialize(self, name: str, text: str) -> Path:
-        """Write ``text`` atomically as file ``name`` under the output
-        directory, made if missing, and return its path."""
+        """Write ``text`` atomically as file ``name`` under the output directory,
+        made if missing, add ``name`` to ``written`` and return its path."""
+        self.written.add(name)
         return write_atomically(self.output_dir / name, text, make_parent=True)
 
     # declarative dump
@@ -274,11 +277,12 @@ class Linker:
         lines += [f"cfg {scriptgen.identifier} register {delegator_type}"
                   for scriptgen, delegator_type in self._registrations]
         for cfg in configurators:
-            prefix = f"cfg {cfg.identifier} "
-            lines += [prefix + command for command in cfg.dump_commands(resolve)]
+            if commands := cfg.dump_commands(resolve):
+                prefix = f"cfg {cfg.identifier} "
+                lines.append(prefix + ("\n" + prefix).join(commands))
         lines += [f"framework group {name} {' '.join(messages)}"
                   for name, messages in self.framework_groups.items()]
-        return "\n".join(lines) + "\n"
+        return "\n".join([*lines, ""])  # not text + "\n", which copies the text
 
 
 def write_atomically(path: Path, text: str, make_parent: bool = False) -> Path:

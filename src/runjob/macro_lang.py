@@ -15,17 +15,19 @@ Grammar (line oriented, UTF-8, lines end at LF, CRLF or CR):
 A trailing backslash joins the next physical line with a single space.
 Tokens are whitespace separated; identifiers follow the configurator
 module's grammar, where ``named`` is reserved in identifier position.
-A ``loop ... endloop`` block is parsed once into a ``Loop`` holding its
-body's directives; each iteration substitutes its integer value into
-copies of them.  Text that ends inside a loop or a continuation is
-``IncompleteInput``: the REPL then reads another line.  Execution is
-fail-fast: the first error aborts with file:line context, leaving earlier
-directives applied.  Checking is the same interpreter run without a linker.
+Lines stream from ``tokenize`` into a one-pass parser that folds each
+``loop ... endloop`` into a ``Loop`` holding its body's directives; each
+iteration substitutes its integer value into copies of them.  Text that
+ends inside a loop or a continuation is ``IncompleteInput``: the REPL then
+reads another line.  A file is parsed whole, then run fail-fast, dropping
+each directive once run: the first error aborts with file:line context,
+leaving earlier directives applied.  Checking runs it without a linker.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .configurator import format_identifier, parse_identifier, split_identifier
 from .errors import (
@@ -38,6 +40,7 @@ from .errors import (
     SourceCycle,
 )
 
+_BLOCK = 1024  # characters split_lines splits at once, so that it never holds every line
 LOOP_KEYWORD = "loop"
 ENDLOOP_KEYWORD = "endloop"
 
@@ -59,25 +62,26 @@ def _unify_line_breaks(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def split_lines(text: str) -> list[str]:
-    """The physical lines of ``text``, without their line breaks; a break at
-    the very end adds no empty line."""
-    lines = _unify_line_breaks(text).split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
+def split_lines(text: str) -> Iterator[str]:
+    """Yield the physical lines of ``text``, without their line breaks, split
+    ``_BLOCK`` characters at a time; a break at the very end adds no empty line."""
+    text = _unify_line_breaks(text)
+    start = 0
+    while (end := text.find("\n", start + _BLOCK)) >= 0:
+        yield from text[start:end].split("\n")
+        start = end + 1
+    lines = text[start:].split("\n")
+    yield from lines if lines[-1] else lines[:-1]
 
 
-def tokenize(text: str, filename: str | None = None) -> list[LogicalLine]:
-    """Split ``text`` into logical lines of whitespace-separated tokens."""
-    lines: list[LogicalLine] = []
+def tokenize(text: str, filename: str | None = None) -> Iterator[LogicalLine]:
+    """Yield the logical lines of ``text``, each a list of whitespace-separated tokens."""
     pending: list[str] = []
     pending_lineno = 0
     pending_comment = False
-    physical = split_lines(text)
-    for index, raw in enumerate(physical, start=1):
+    for index, raw in enumerate(split_lines(text), start=1):
         if not pending and "#" not in raw and "\\" not in raw:
-            lines.append(LogicalLine(index, raw.split()))  # the common, plain line
+            yield LogicalLine(index, raw.split())  # the common, plain line
             continue
         stripped, hash_mark, _ = raw.partition("#")
         stripped = stripped.rstrip()
@@ -89,12 +93,11 @@ def tokenize(text: str, filename: str | None = None) -> list[LogicalLine]:
             pending.append(stripped[:-1])
             continue
         pending.append(stripped)
-        lines.append(LogicalLine(pending_lineno, " ".join(pending).split(), pending_comment))
+        yield LogicalLine(pending_lineno, " ".join(pending).split(), pending_comment)
         pending = []
     if pending:  # the last physical line ends with a backslash
         raise DanglingContinuation("line continuation at end of input",
-                                   filename=filename, lineno=len(physical))
-    return lines
+                                   filename=filename, lineno=index)
 
 
 # directives
@@ -223,17 +226,19 @@ def parse_directive(line: LogicalLine, filename: str | None = None) -> Directive
     raise ParseError(f"unknown directive {head!r}", filename=filename, lineno=line.lineno)
 
 
-def _parse_loop_header(line: LogicalLine, filename, loop_vars: tuple[str, ...]) -> Loop:
+def _parse_loop_header(line: LogicalLine, filename, open_loops: list) -> Loop:
     tokens = line.tokens
     if len(tokens) != 4:
         raise ParseError("usage: loop <var> <from> <to>",
                          filename=filename, lineno=line.lineno)
+    # the variables of the loops around ``line`` (the last open one); bounds without "$(" use none
+    loop_vars = [h.tokens[1] for h, _ in open_loops[:-1]] if "$(" in tokens[2] + tokens[3] else ()
     for bound in tokens[2:]:
         _loop_bound(bound, line.lineno, filename, loop_vars)
     return Loop(line.lineno, tokens[1], tokens[2], tokens[3])
 
 
-def _loop_bound(bound: str, lineno: int, filename, loop_vars: tuple[str, ...] = ()) -> int:
+def _loop_bound(bound: str, lineno: int, filename, loop_vars: Iterable[str] = ()) -> int:
     """``bound`` as an integer, reading each ``$(var)`` of ``loop_vars`` as 1."""
     text = bound
     for var in loop_vars:
@@ -245,52 +250,40 @@ def _loop_bound(bound: str, lineno: int, filename, loop_vars: tuple[str, ...] = 
                          filename=filename, lineno=lineno) from None
 
 
-def _head(line: LogicalLine) -> str | None:
-    return line.tokens[0] if line.tokens else None
+def parse_block(lines: Iterable[LogicalLine], filename: str | None = None) -> list[Directive]:
+    """Parse logical lines, in one pass, into directives, folding each
+    loop...endloop into a ``Loop`` whose body holds its parsed directives.
 
-
-def _matching_endloop(lines: list[LogicalLine], start: int, filename) -> int:
-    """Index of the endloop closing the loop at ``lines[start]``."""
-    depth = 0
-    for index in range(start, len(lines)):
-        head = _head(lines[index])
-        if head == LOOP_KEYWORD:
-            depth += 1
-        elif head == ENDLOOP_KEYWORD:
-            depth -= 1
-            if depth == 0:
-                return index
-    raise IncompleteInput("loop without a matching endloop",
-                          filename=filename, lineno=lines[start].lineno)
-
-
-def parse_block(lines: list[LogicalLine], filename: str | None = None,
-                loop_vars: tuple[str, ...] = ()) -> list[Directive]:
-    """Parse logical lines into directives, folding each loop...endloop into
-    a ``Loop`` whose body holds its parsed directives.
-
-    A loop's endloop is found before its header and body are checked, so an
-    unclosed loop is ``IncompleteInput`` whatever it contains.  A bound may
-    use ``loop_vars``, the variables of the loops around ``lines``.
+    A loop open at a ParseError that never closes is ``IncompleteInput``
+    whatever it contains, unless a continuation dangles at the end.
     """
     directives: list[Directive] = []
-    index = 0
+    open_loops: list[tuple[LogicalLine, list[Directive]]] = []  # header, the list holding it
+    lines = iter(lines)
     try:
-        while index < len(lines):
-            line = lines[index]
-            if _head(line) == LOOP_KEYWORD:
-                end = _matching_endloop(lines, index, filename)
-                loop = _parse_loop_header(line, filename, loop_vars)
-                loop.body = parse_block(lines[index + 1:end], filename, (*loop_vars, loop.var))
-                if len(lines[end].tokens) > 1:
-                    raise ParseError("usage: endloop", filename=filename, lineno=lines[end].lineno)
+        for line in lines:
+            head = line.tokens[0] if line.tokens else None
+            if head == LOOP_KEYWORD:
+                open_loops.append((line, directives))  # before its check, which may fail
+                loop = _parse_loop_header(line, filename, open_loops)
                 directives.append(loop)
-                index = end
+                directives = loop.body
+            elif head == ENDLOOP_KEYWORD and open_loops:
+                directives = open_loops.pop()[1]
+                if len(line.tokens) > 1:
+                    raise ParseError("usage: endloop", filename=filename, lineno=line.lineno)
             else:
                 directives.append(parse_directive(line, filename))
-            index += 1
-    except RecursionError:  # loops nested deeper than the interpreter stack allows
-        raise RecursionLimitExceeded("nested too deeply", filename=filename, lineno=line.lineno)
+    except ParseError as error:  # read on: a dangling continuation, then an open loop, wins
+        depth = 0 if isinstance(error, DanglingContinuation) else len(open_loops)
+        for line in lines:
+            if depth and line.tokens:
+                depth += {LOOP_KEYWORD: 1, ENDLOOP_KEYWORD: -1}.get(line.tokens[0], 0)
+        if not depth:
+            raise
+    if open_loops:
+        raise IncompleteInput("loop without a matching endloop",
+                              filename=filename, lineno=open_loops[0][0].lineno)
     return directives
 
 
@@ -372,11 +365,11 @@ class MacroInterpreter:
             raise SourceCycle(f"{name} is already being sourced", filename=name)
         self._source_stack.append(path)
         try:
-            self.run_directives(parse_script(text, name), name)
+            self.run_directives(_consumed(parse_script(text, name)), name)
         finally:
             self._source_stack.pop()
 
-    def run_directives(self, directives: list[Directive], filename: str | None) -> None:
+    def run_directives(self, directives: Iterable[Directive], filename: str | None) -> None:
         for directive in directives:
             try:
                 self.execute(directive, filename)
@@ -414,6 +407,13 @@ class MacroInterpreter:
             self.run_directives(substitute_block(loop.body, loop.var, str(value), plan), filename)
 
 
+def _consumed(directives: list[Directive]) -> Iterator[Directive]:
+    """Yield and remove ``directives`` in order, so each is freed once it has run."""
+    directives.reverse()
+    while directives:
+        yield directives.pop()
+
+
 def read_utf8(path: Path, error: type[RunjobError]) -> str:
     """Read ``path`` as UTF-8; a byte that does not decode raises ``error``
     at its file:line, a path that cannot be read (missing, a directory, a
@@ -434,7 +434,7 @@ def read_utf8(path: Path, error: type[RunjobError]) -> str:
 
 def execute_script(linker, text: str, filename: str | None = None) -> None:
     """Run macro text against ``linker``."""
-    MacroInterpreter(linker).run_directives(parse_script(text, filename), filename)
+    MacroInterpreter(linker).run_directives(_consumed(parse_script(text, filename)), filename)
 
 
 def execute_file(linker, path) -> None:

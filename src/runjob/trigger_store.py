@@ -19,6 +19,7 @@ configurators compare against to tell whether a value they resolved is stale.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Callable, Iterator, MutableMapping, NamedTuple
 
 from .errors import (
@@ -29,6 +30,7 @@ from .errors import (
 )
 
 MAX_DEPTH = 16  # nested handler activations allowed per store
+NO_ENTRIES = MappingProxyType({})  # the one empty mapping of every container not yet written
 
 _READ = "read"
 _WRITE = "write"
@@ -109,10 +111,10 @@ class TriggerStore:
 
     __slots__ = ("_backend", "_handlers", "_next_id", "_depth")  # one store per configurator
 
-    def __init__(self):
-        self._backend: MutableMapping[str, str] = {}  # swap_backend replaces it
+    def __init__(self, backend: dict[str, str] | None = None):
+        self._backend: MutableMapping[str, str] = {} if backend is None else backend  # not copied
         # (mode, key) -> handlers in registration order; key None is global
-        self._handlers: dict[tuple[str, str | None], list[TriggerHandler]] = {}
+        self._handlers: dict[tuple[str, str | None], list[TriggerHandler]] = NO_ENTRIES
         self._next_id = 0
         self._depth = 0
 
@@ -169,6 +171,8 @@ class TriggerStore:
         """
         handler = TriggerHandler(self._next_id, callback, tuple(extras))
         self._next_id += 1
+        if self._handlers is NO_ENTRIES:
+            self._handlers = {}
         self._handlers.setdefault((kind.mode, kind.key), []).append(handler)
         advance_epoch()
         return handler.handler_id

@@ -294,7 +294,7 @@ def test_criterion_7_parser_conformance(fixtures):
     assert [d.describe() for d in directives] == golden
 
     with pytest.raises(DanglingContinuation) as dangling:
-        tokenize((fixtures / "dangling.mac").read_text(), "dangling.mac")
+        list(tokenize((fixtures / "dangling.mac").read_text(), "dangling.mac"))
     assert dangling.value.lineno == 2
 
     with pytest.raises(SourceCycle) as cycle:

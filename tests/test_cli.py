@@ -464,6 +464,24 @@ class TestRunCommand:
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert text.startswith("# runjob state dump\n")
 
+    @pytest.mark.parametrize("extra, flags, name", [
+        ("", (), "composite_ScriptGen.sh"),
+        ("", ("--target", "dag"), "workflow.dag"),
+        ("attach DagGen\nattach Fork\ncfg Fork define ScriptGenName DagGen\n"
+         "cfg Fork oncall RunJob do define ExecutableList ::construct\n", (), "workflow.dag"),
+    ], ids=["shell composite", "dag target", "dag written by a Fork"])
+    def test_dump_onto_a_file_this_run_wrote_is_refused(self, fixtures, tmp_path, monkeypatch,
+                                                        capsys, extra, flags, name):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "chain.mac").write_text((fixtures / "chain.mac").read_text() + extra)
+        assert run_cli("run", "chain.mac", "--out", "o", "--run-mode", "dry-run", *flags,
+                       "--dump", f"./o/../o/{name}") == 1
+        captured = capsys.readouterr()
+        assert f" o/{name}\n" in captured.out  # "wrote ..." or, from the Fork, "dry-run: ..."
+        assert captured.err == f"error: --dump ./o/../o/{name}: this run wrote that file\n"
+        header = "JOB job_Step_StepA " if name == "workflow.dag" else "#!/bin/sh\n"
+        assert (tmp_path / "o" / name).read_text().startswith(header)
+
     def test_resolve_dump_snapshots_literals(self, fixtures, tmp_path):
         dump_path = tmp_path / "state.mac"
         run_cli("run", str(fixtures / "helloworld.mac"), "--out", str(tmp_path / "build"),
@@ -767,6 +785,19 @@ def test_too_deep_nesting_is_a_clean_error(tmp_path, kind, depth, flags):
     assert "Traceback" not in finished.stderr
     assert re.fullmatch(rf"error: {re.escape(str(tmp_path.resolve()))}/\w+\.mac:\d+: "
                         r"nested too deeply\n", finished.stderr), finished.stderr
+
+
+@pytest.mark.parametrize("flags", [(), ("--check",)])
+def test_a_nest_that_parses_but_is_too_deep_to_run_is_a_clean_error(tmp_path, flags):
+    # a nest is parsed without recursion, so only running or checking it runs out of stack
+    script = write_deep_script(tmp_path, "loops", 5000)
+    finished = subprocess.run(
+        [sys.executable, "-m", "runjob", "run", str(script), "--out", str(tmp_path / "build"),
+         "--run-mode", "dry-run", *flags],
+        capture_output=True, text=True)
+    assert finished.returncode == 1
+    assert re.fullmatch(rf"error: {re.escape(str(script.resolve()))}:\d+: nested too deeply\n",
+                        finished.stderr), finished.stderr
 
 
 def test_in_order_deep_reference_chain_resolves(tmp_path):

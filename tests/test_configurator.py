@@ -1,5 +1,7 @@
 """Configurator behavior: schema, macros, expressions, dependencies, dispatch."""
 
+from collections.abc import Mapping
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from runjob.configurator import (
     Configurator,
     ConfiguratorDescription,
     DependencyPattern,
+    Requirement,
     ValueExpression,
     parse_expression,
 )
@@ -24,7 +27,7 @@ from runjob.errors import (
     VisibilityViolation,
 )
 from runjob.scriptgen import ScriptObject
-from runjob.trigger_store import GLOBAL_READ, current_epoch, indexed_read
+from runjob.trigger_store import GLOBAL_READ, TriggerStore, current_epoch, indexed_read
 
 
 def bare(type_name="Box", instance=None):
@@ -264,6 +267,36 @@ class TestRequirements:
             linker.attach("HelloWorld", name)
         for requirement in cfg.requirements:
             linker.require_attached(cfg, requirement.pattern)  # must not raise
+
+
+class TestContainers:
+    @staticmethod
+    def empty_containers(cfg):
+        """The empty dicts, lists and sets in the attributes of ``cfg`` and its store."""
+        fields = {**vars(cfg), **{f"store.{slot}": getattr(cfg.store, slot)
+                                  for slot in TriggerStore.__slots__}}
+        return {name: value for name, value in fields.items()
+                if isinstance(value, (Mapping, list, set)) and not value}
+
+    def test_an_attached_helloworld_owns_no_empty_container(self, linker):
+        first, second = (linker.find(linker.attach("HelloWorld", name)) for name in ("a", "b"))
+        shared = self.empty_containers(second)
+        assert all(value is shared.get(name)
+                   for name, value in self.empty_containers(first).items())
+
+    def test_the_configurators_of_one_registration_share_its_requirement(self, linker):
+        linker.attach("HelloWorldScriptGen")
+        linker.route("HelloWorldScriptGen", "register HelloWorld")
+        first, second = (linker.find(linker.attach("HelloWorld", name)) for name in ("a", "b"))
+        pattern = DependencyPattern("HelloWorldScriptGen", "HelloWorldScriptGen")
+        assert first.requirements == (Requirement(pattern, auto=True),)
+        assert first.requirements[0] is second.requirements[0]
+
+    def test_a_written_container_is_the_configurators_own(self, linker):
+        first, second = (linker.find(linker.attach("HelloWorld", name)) for name in ("a", "b"))
+        first.apply_macro("synonym S ::b:HelloMessage")
+        assert not second.dump_commands()[1:]
+        assert first.dump_commands()[1:] == ["synonym S ::b:HelloMessage"]
 
 
 REQUIRE_TYPES = ("A", "B")

@@ -1,13 +1,16 @@
 """Macro language: tokenizer, directive parsing, loops, sourcing, fail-fast."""
 
+import gc
 import random
 import re
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from runjob import execute_script, make_linker, macro_lang, parse_script, tokenize
+from runjob import Configurator, execute_script, make_linker, macro_lang, parse_script, tokenize
 from runjob.errors import (
     DanglingContinuation,
     IncompleteInput,
@@ -30,39 +33,39 @@ from runjob.macro_lang import (
 
 class TestTokenize:
     def test_continuation_joins_with_single_space(self):
-        lines = tokenize("cfg HelloWorldScriptGen define English \\\n Hello World")
+        lines = list(tokenize("cfg HelloWorldScriptGen define English \\\n Hello World"))
         assert len(lines) == 1
         assert lines[0].tokens == ["cfg", "HelloWorldScriptGen", "define",
                                    "English", "Hello", "World"]
 
     def test_comment_line_has_no_tokens(self):
-        lines = tokenize("# Attach the ScriptGen")
+        lines = list(tokenize("# Attach the ScriptGen"))
         assert lines[0].tokens == []
         assert lines[0].comment
 
     def test_inline_comment_stripped(self):
-        lines = tokenize("attach Fork # the batch portal")
+        lines = list(tokenize("attach Fork # the batch portal"))
         assert lines[0].tokens == ["attach", "Fork"]
 
     def test_dangling_continuation(self):
         with pytest.raises(DanglingContinuation) as err:
-            tokenize("attach Fork\na \\", filename="bad.mac")
+            list(tokenize("attach Fork\na \\", filename="bad.mac"))
         assert err.value.lineno == 2
         assert "bad.mac:2" in str(err.value)
 
     def test_crlf_input_accepted(self):
-        lines = tokenize("attach Fork\r\nattach HelloWorld named X\r\n")
+        lines = list(tokenize("attach Fork\r\nattach HelloWorld named X\r\n"))
         assert [l.tokens[0] for l in lines] == ["attach", "attach"]
 
     def test_logical_line_records_first_physical_line(self):
-        lines = tokenize("attach Fork\ncfg Fork define A \\\n b \\\n c\nattach Fork")
+        lines = list(tokenize("attach Fork\ncfg Fork define A \\\n b \\\n c\nattach Fork"))
         assert [l.lineno for l in lines] == [1, 2, 5]
 
     @pytest.mark.parametrize("space", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
                                        "\u2028", "\u2029"])
     def test_only_lf_crlf_and_cr_end_a_line(self, space):
         # str.splitlines() would also break here; an editor does not
-        lines = tokenize(f"attach Fork{space}named X\nbogus here\n")
+        lines = list(tokenize(f"attach Fork{space}named X\nbogus here\n"))
         assert [(l.lineno, l.tokens) for l in lines] == [
             (1, ["attach", "Fork", "named", "X"]), (2, ["bogus", "here"])]
 
@@ -110,9 +113,17 @@ def test_tokenize_matches_reference(text):
     assert tokenize_outcome(text) == reference_tokenize(text)
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.sampled_from(TOKENIZER_PIECES), max_size=40).map("".join), st.integers(1, 6))
+def test_tokenize_matches_reference_when_lines_are_split_a_few_characters_at_a_time(text, block):
+    with pytest.MonkeyPatch.context() as patch:  # the real block is larger than any example
+        patch.setattr(macro_lang, "_BLOCK", block)
+        assert tokenize_outcome(text) == reference_tokenize(text)
+
+
 class TestParseDirective:
     def parse_one(self, text):
-        return parse_directive(tokenize(text)[0])
+        return parse_directive(next(tokenize(text)))
 
     def test_attach_named(self):
         directive = self.parse_one("attach HelloWorld named English")
@@ -357,7 +368,7 @@ class TestParseOnce:
         for seed in range(300):
             text = "\n".join(random_loop_script(random.Random(seed))) + "\n"
             expected, actual = RecordingLinker(), RecordingLinker()
-            reference_run(expected, tokenize(text))
+            reference_run(expected, list(tokenize(text)))
             execute_script(actual, text)
             assert actual.calls == expected.calls, f"seed {seed}:\n{text}"
 
@@ -394,6 +405,155 @@ class TestParseOnce:
         MacroInterpreter(linker).run_directives(directives, "n.mac")
         assert len(linker.configurators) == 3
         assert fields(directives) == before
+
+
+def reference_head(line):
+    return line.tokens[0] if line.tokens else None
+
+
+def reference_matching_endloop(lines, start, filename):
+    """Index of the endloop closing the loop at ``lines[start]``."""
+    depth = 0
+    for index in range(start, len(lines)):
+        head = reference_head(lines[index])
+        if head == "loop":
+            depth += 1
+        elif head == "endloop":
+            depth -= 1
+            if depth == 0:
+                return index
+    raise IncompleteInput("loop without a matching endloop",
+                          filename=filename, lineno=lines[start].lineno)
+
+
+def reference_parse_loop_header(line, filename, loop_vars):
+    tokens = line.tokens
+    if len(tokens) != 4:
+        raise ParseError("usage: loop <var> <from> <to>",
+                         filename=filename, lineno=line.lineno)
+    for bound in tokens[2:]:
+        macro_lang._loop_bound(bound, line.lineno, filename, loop_vars)
+    return Loop(line.lineno, tokens[1], tokens[2], tokens[3])
+
+
+def reference_parse_block(lines, filename=None, loop_vars=()):
+    """The recursive parser that ``parse_block`` replaced: a loop's endloop
+    is found before its header and body are checked, and its body is parsed
+    from a slice of ``lines``."""
+    directives = []
+    index = 0
+    while index < len(lines):
+        line = lines[index]
+        if reference_head(line) == "loop":
+            end = reference_matching_endloop(lines, index, filename)
+            loop = reference_parse_loop_header(line, filename, loop_vars)
+            loop.body = reference_parse_block(lines[index + 1:end], filename,
+                                              (*loop_vars, loop.var))
+            if len(lines[end].tokens) > 1:
+                raise ParseError("usage: endloop", filename=filename, lineno=lines[end].lineno)
+            directives.append(loop)
+            index = end
+        else:
+            directives.append(parse_directive(line, filename))
+        index += 1
+    return directives
+
+
+def directive_tree(directives):
+    """Each directive's type and fields, loop bodies in turn."""
+    return [(type(directive).__name__,
+             {name: directive_tree(value) if name == "body" else value
+              for name, value in vars(directive).items()})
+            for directive in directives]
+
+
+def parse_outcome(parse):
+    try:
+        return directive_tree(parse())
+    except ParseError as exc:
+        return type(exc).__name__, exc.filename, exc.lineno, exc.message
+
+
+# lines mixed into generated scripts: bad bounds, endloops with extra tokens,
+# stray endloops, unknown directives and malformed headers; None deletes a line
+PARSER_MUTATIONS = ["loop j 1 $(k)", "loop j $(i) 2", "loop k 1 $(i)\nattach T\nendloop",
+                    "endloop extra", "endloop", "bogus line", "loop", "loop i one 2", None]
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.integers(0, 10**6),
+       st.lists(st.tuples(st.integers(0, 100), st.sampled_from(PARSER_MUTATIONS)), max_size=4),
+       st.sampled_from([False, False, False, True]))
+def test_one_pass_parser_matches_the_recursive_parser(seed, mutations, dangling):
+    lines = "\n".join(random_loop_script(random.Random(seed))).split("\n")
+    for position, mutation in mutations:
+        index = position % (len(lines) + 1)
+        if mutation is not None:
+            lines.insert(index, mutation)
+        elif index < len(lines):
+            del lines[index]
+    text = "\n".join(lines) + (" \\\n" if dangling else "\n")
+    assert parse_outcome(lambda: parse_script(text, "m.mac")) == parse_outcome(
+        lambda: reference_parse_block(list(tokenize(text, "m.mac")), "m.mac")), text
+
+
+def test_a_deep_nest_parses_in_one_pass():
+    depth = 5000
+    directives = parse_script("loop i 1 1\n" * depth + "attach Step\n" + "endloop\n" * depth)
+    for lineno in range(1, depth + 1):
+        [loop] = directives
+        assert (type(loop), loop.lineno) == (Loop, lineno)
+        directives = loop.body
+    assert [directive.describe() for directive in directives] == ["attach Step"]
+
+
+def parse_overhead(groups):
+    """What ``parse_script`` holds at its peak beyond what it returns, for
+    ``groups`` copies of one five-line group of lines of fixed lengths."""
+    text = "".join(f"loop i 1 2\ncfg Step named s{g:06d}x$(i) define K \\\n  v{g:06d}\nendloop\n"
+                   f"attach Step named t{g:06d}  # note\n" for g in range(groups))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        directives = parse_script(text)
+        current, peak = tracemalloc.get_traced_memory()
+        assert len(directives) == 2 * groups
+        return peak - current
+    finally:
+        tracemalloc.stop()
+
+
+def test_parsing_holds_no_more_at_its_peak_for_more_lines():
+    few, many = parse_overhead(500), parse_overhead(2000)
+    assert many <= few + 4096, (few, many)
+
+
+@pytest.mark.parametrize("run", ["execute_script", "execute_file"])
+def test_a_top_level_directive_is_released_once_it_has_run(monkeypatch, tmp_path, run):
+    parsed = {}  # lineno -> a weak reference to the directive parsed there
+    parse = macro_lang.parse_directive
+
+    def parse_and_watch(line, filename=None):
+        directive = parse(line, filename)
+        parsed[directive.lineno] = weakref.ref(directive)
+        return directive
+
+    seen = []
+
+    class Probe(Configurator):
+        def __init__(self, description):
+            super().__init__(description)
+            seen.append(parsed[1]() is None)  # attached at line 2
+
+    monkeypatch.setattr(macro_lang, "parse_directive", parse_and_watch)
+    linker = make_linker(output_dir=tmp_path, types={"Probe": Probe})
+    text = "attach Step\nattach Probe\n"
+    if run == "execute_script":
+        execute_script(linker, text, "t.mac")
+    else:
+        (tmp_path / "t.mac").write_text(text)
+        execute_file(linker, tmp_path / "t.mac")
+    assert seen == [True]
 
 
 class TestSource:
