@@ -18,9 +18,10 @@ import sys
 from pathlib import Path
 
 from .builtins import RUN_MODES, Fork, make_linker
-from .errors import IncompleteInput, RunjobError
+from .errors import DanglingContinuation, IncompleteInput, RunjobError
 from .linker import Linker, cannot_write, write_atomically
-from .macro_lang import MacroInterpreter, check_script, execute_file, parse_script
+from .macro_lang import (MacroInterpreter, check_script, count_loops, execute_file,
+                         parse_script, tokenize)
 from .scriptgen import DAG_FILENAME, build_dag
 
 DEFAULT_FRAMEWORK = ("Reset", "MakeJob", "MakeScript", "RunJob")
@@ -118,6 +119,8 @@ def _run_or_check(args) -> int:
         if args.dump == "-":
             sys.stdout.write(linker.dump_state(resolve=args.resolve))
         elif args.dump is not None:
+            if "\0" in args.dump:  # which no file name holds, and os.path.realpath refuses
+                raise cannot_write(Path(args.dump), ValueError("embedded null byte"))
             target = os.path.realpath(args.dump)  # refuse to replace an artifact of this run
             if os.path.relpath(target, os.path.realpath(linker.output_dir)) in linker.written:
                 raise RunjobError(f"--dump {args.dump}: this run wrote that file")
@@ -175,8 +178,9 @@ builtins:   dump        print the declarative state dump
 
 def repl(linker: Linker, input_stream=None, output=None) -> None:
     """Line-oriented interactive session; errors are printed, not fatal.
-    Lines are buffered while the parser finds them ``IncompleteInput``; an
-    entry still incomplete when input ends is reported as that error."""
+    Lines are buffered while their entry is ``IncompleteInput``, parsing it
+    only where it can end: a line ends, and at some point of it no loop is
+    open.  An entry still incomplete when input ends is reported as that error."""
     stream = input_stream if input_stream is not None else sys.stdin
     out = output if output is not None else sys.stdout
     interactive = input_stream is None and stream.isatty()
@@ -186,13 +190,11 @@ def repl(linker: Linker, input_stream=None, output=None) -> None:
             out.write(text)
             out.flush()
 
-    buffer: list[str] = []
-    incomplete: IncompleteInput | None = None  # why the buffered entry is still open
+    buffer: list[str] = []  # the physical lines of the open entry
+    start = depth = 0  # where its open logical line starts; the loops open in it
     prompt("runjob> ")
     for raw in stream:
-        buffer.append(raw.rstrip())
-        text = "\n".join(buffer)
-        command = text.strip()
+        command = None if buffer else raw.strip()
         if command in ("quit", "exit"):
             break
         if command == "help":
@@ -200,31 +202,46 @@ def repl(linker: Linker, input_stream=None, output=None) -> None:
         elif command == "dump":
             out.write(linker.dump_state())
         else:
-            try:
-                directives = parse_script(text)
-            except IncompleteInput as exc:
-                incomplete = exc
+            buffer.append(raw.rstrip())
+            try:  # a logical line is tokenized whole once its last physical line ends it
+                lines = list(tokenize(buffer[-1]))
+                if start < len(buffer) - 1:
+                    lines = list(tokenize("\n".join(buffer[start:])))
+            except DanglingContinuation:
                 prompt("... ")
                 continue
-            except RunjobError as exc:
-                out.write(f"error: {exc}\n")
-            else:
-                interpreter = MacroInterpreter(linker)
-                try:
-                    interpreter.run_directives(directives, None)
-                    for record in interpreter.dispatches:
-                        out.write(f"{record.message} {record.description.identifier}: "
-                                  f"{record.outcome}\n")
-                    print_run_reports(linker, out)
-                except (RunjobError, OSError) as exc:
-                    out.write(f"error: {exc}\n")
-        buffer = []
-        incomplete = None
+            start = len(buffer)
+            depth, closed = count_loops(lines, depth)
+            if not (closed and _run_entry(linker, "\n".join(buffer), out)):
+                prompt("... ")
+                continue
+        buffer, start, depth = [], 0, 0
         prompt("runjob> ")
-    if incomplete is not None:
-        out.write(f"error: {incomplete}\n")
+    if buffer:
+        _run_entry(linker, "\n".join(buffer), out, final=True)
     prompt("\n")
     wait_for_jobs(linker)
+
+
+def _run_entry(linker: Linker, text: str, out, final: bool = False) -> bool:
+    """Parse and run one REPL entry, writing what it did or its error to
+    ``out``; False, writing nothing, if it is incomplete and not ``final``."""
+    try:
+        directives = parse_script(text)
+    except RunjobError as exc:
+        if isinstance(exc, IncompleteInput) and not final:
+            return False
+        out.write(f"error: {exc}\n")
+        return True
+    interpreter = MacroInterpreter(linker)
+    try:
+        interpreter.run_directives(directives, None)
+        for record in interpreter.dispatches:
+            out.write(f"{record.message} {record.description.identifier}: {record.outcome}\n")
+        print_run_reports(linker, out)
+    except (RunjobError, OSError) as exc:
+        out.write(f"error: {exc}\n")
+    return True
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -299,7 +299,9 @@ def write_atomically(path: Path, text: str, make_parent: bool = False) -> Path:
         if path.suffix == ".sh":
             temp.chmod(0o755)
         os.replace(temp, path)
-    except OSError as exc:
+    except UnicodeEncodeError:  # in the text, not the path
+        raise
+    except (OSError, ValueError) as exc:  # a ValueError: a NUL byte in the path
         raise cannot_write(path, exc) from None
     finally:
         if temp.exists():  # false after the rename, and where no directory holds it
@@ -307,6 +309,9 @@ def write_atomically(path: Path, text: str, make_parent: bool = False) -> Path:
     return path
 
 
-def cannot_write(path: Path, exc: OSError) -> RunjobError:
-    """The error for a failed write, naming the file asked for."""
+def cannot_write(path: Path, exc: OSError | ValueError) -> RunjobError:
+    """The error for a failed write, naming the file asked for; a ValueError
+    is a NUL byte in that name, so the name is quoted."""
+    if isinstance(exc, ValueError):
+        return RunjobError(f"cannot write {str(path)!r}: {exc}")
     return RunjobError(f"cannot write {path}: {exc.strerror or exc}")

@@ -17,16 +17,19 @@ Tokens are whitespace separated; identifiers follow the configurator
 module's grammar, where ``named`` is reserved in identifier position.
 Lines stream from ``tokenize`` into a one-pass parser that folds each
 ``loop ... endloop`` into a ``Loop`` holding its body's directives; each
-iteration substitutes its integer value into copies of them.  Text that
-ends inside a loop or a continuation is ``IncompleteInput``: the REPL then
-reads another line.  A file is parsed whole, then run fail-fast, dropping
-each directive once run: the first error aborts with file:line context,
-leaving earlier directives applied.  Checking runs it without a linker.
+iteration substitutes its integer value into copies of them.  A ``Cfg``
+keeps its macro as one string, split when it runs, and type names are
+interned, so the lines and configurators naming one type share one string.
+Text that ends inside a loop or a continuation is ``IncompleteInput``: the
+REPL then reads another line.  A file is parsed whole, then run fail-fast,
+dropping each directive once run: the first error aborts with file:line
+context, leaving earlier directives applied.  Checking runs it without a linker.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from sys import intern
 from typing import Iterable, Iterator
 
 from .configurator import format_identifier, parse_identifier, split_identifier
@@ -139,14 +142,18 @@ class Attach(_Identified):
 
 
 class Cfg(_Identified):
-    def __init__(self, lineno: int, type_name: str, instance_name: str | None, macro: list[str]):
+    def __init__(self, lineno: int, type_name: str, instance_name: str | None, text: str):
         self.lineno = lineno
         self.type_name = type_name
         self.instance_name = instance_name
-        self.macro = macro
+        self.text = text  # the macro's tokens joined by single spaces
+
+    @property
+    def macro(self) -> list[str]:
+        return self.text.split()
 
     def describe(self) -> str:
-        return f"cfg {self.identifier} :: {' '.join(self.macro)}"
+        return f"cfg {self.identifier} :: {self.text}"
 
 
 class FrameworkRun(Directive):
@@ -201,14 +208,14 @@ def parse_directive(line: LogicalLine, filename: str | None = None) -> Directive
         try:
             if head == "attach":
                 type_name, instance = parse_identifier(tokens[1:])
-                return Attach(line.lineno, type_name, instance)
+                return Attach(line.lineno, intern(type_name), instance)
             type_name, instance, macro = split_identifier(tokens[1:])
         except MacroParseError as exc:
             raise ParseError(exc.message, filename=filename, lineno=line.lineno) from None
         if not macro:
             raise ParseError("cfg requires an identifier and a macro",
                              filename=filename, lineno=line.lineno)
-        return Cfg(line.lineno, type_name, instance, macro)
+        return Cfg(line.lineno, intern(type_name), instance, " ".join(macro))
     if head == "framework":
         if len(tokens) >= 3 and tokens[1] == "run":
             return FrameworkRun(line.lineno, tokens[2:])
@@ -276,15 +283,24 @@ def parse_block(lines: Iterable[LogicalLine], filename: str | None = None) -> li
                 directives.append(parse_directive(line, filename))
     except ParseError as error:  # read on: a dangling continuation, then an open loop, wins
         depth = 0 if isinstance(error, DanglingContinuation) else len(open_loops)
-        for line in lines:
-            if depth and line.tokens:
-                depth += {LOOP_KEYWORD: 1, ENDLOOP_KEYWORD: -1}.get(line.tokens[0], 0)
-        if not depth:
+        if count_loops(lines, depth)[1]:
             raise
     if open_loops:
         raise IncompleteInput("loop without a matching endloop",
                               filename=filename, lineno=open_loops[0][0].lineno)
     return directives
+
+
+def count_loops(lines: Iterable[LogicalLine], depth: int) -> tuple[int, bool]:
+    """Count the loops ``lines`` leave open, ``depth`` being open before them:
+    a loop opens one, an endloop closes an open one.  Also say whether none
+    was open at some point, where the text they belong to could end."""
+    closed = not depth
+    for line in lines:
+        head = line.tokens[0] if line.tokens else None
+        depth += (head == LOOP_KEYWORD) - (head == ENDLOOP_KEYWORD and depth > 0)
+        closed = closed or not depth
+    return depth, closed
 
 
 def parse_script(text: str, filename: str | None = None) -> list[Directive]:
@@ -391,7 +407,7 @@ class MacroInterpreter:
         elif isinstance(directive, Attach):
             self.linker.attach(directive.type_name, directive.instance_name)
         elif isinstance(directive, Cfg):
-            self.linker.route(directive.identifier, directive.macro)
+            self.linker.route(directive.identifier, directive.text)
         elif isinstance(directive, FrameworkRun):
             self.dispatches += self.linker.run_framework(*directive.messages)
         elif isinstance(directive, FrameworkGroup):

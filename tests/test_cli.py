@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from runjob import cli, make_linker
 from runjob.cli import LENIENT_ENV_VAR, main, repl
+from runjob.errors import IncompleteInput, RunjobError
+from runjob.macro_lang import MacroInterpreter, parse_script
 
 
 def run_cli(*args):
@@ -390,6 +392,22 @@ class TestRunCommand:
         assert (code, capsys.readouterr().err) == (1, error)
         assert list(tmp_path.rglob("*.tmp")) == []
 
+    @pytest.mark.parametrize("flags, error", [
+        (("--out", "o", "--dump", "a\0b"), "error: cannot write 'a\\x00b': embedded null byte\n"),
+        (("--out", "o\0x"), "error: cannot write 'o\\x00x/composite_HelloWorldScriptGen.sh': "
+                            "embedded null byte (dispatching RunJob to Fork)\n"),
+    ], ids=["dump", "out"])
+    def test_nul_byte_in_a_written_path_is_a_cannot_write_error(self, fixtures, tmp_path,
+                                                                 monkeypatch, capsys, flags,
+                                                                 error):
+        # a command line cannot carry NUL; a list handed to main can
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", str(fixtures / "helloworld.mac"), "--run-mode", "dry-run",
+                       *flags) == 1
+        err = capsys.readouterr().err
+        assert err == error
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("text, flags, error", [
         ("attach ScriptGen\nattach Fork\ncfg ScriptGen register Fork\n", (),
          "Fork does not generate script fragments (dispatching MakeJob to Fork)"),
@@ -676,6 +694,87 @@ class TestRepl:
         out = self.drive(linker, nested_loops(1000) + "attach Step\ndump\n")
         assert re.match(r"error: <input>:\d+: nested too deeply\n", out)
         assert "attach Step\n" in out
+
+
+def reference_repl(linker, text):
+    """The REPL's output for ``text`` as it was when it re-parsed its whole
+    open entry on every line it read."""
+    out = io.StringIO()
+    buffer, incomplete = [], None
+    for raw in io.StringIO(text):
+        buffer.append(raw.rstrip())
+        entry = "\n".join(buffer)
+        command = entry.strip()
+        if command in ("quit", "exit"):
+            break
+        if command == "help":
+            out.write(cli.REPL_HELP)
+        elif command == "dump":
+            out.write(linker.dump_state())
+        else:
+            try:
+                directives = parse_script(entry)
+            except IncompleteInput as exc:
+                incomplete = exc
+                continue
+            except RunjobError as exc:
+                out.write(f"error: {exc}\n")
+            else:
+                interpreter = MacroInterpreter(linker)
+                try:
+                    interpreter.run_directives(directives, None)
+                    for record in interpreter.dispatches:
+                        out.write(f"{record.message} {record.description.identifier}: "
+                                  f"{record.outcome}\n")
+                    cli.print_run_reports(linker, out)
+                except (RunjobError, OSError) as exc:
+                    out.write(f"error: {exc}\n")
+        buffer, incomplete = [], None
+    if incomplete is not None:
+        out.write(f"error: {incomplete}\n")
+    return out.getvalue()
+
+
+def repl_and_reference(text):
+    """The output and final dump of ``repl`` and of ``reference_repl`` on ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:  # nothing is written there
+        linker, expected = make_linker(output_dir=Path(tmp)), make_linker(output_dir=Path(tmp))
+        output = io.StringIO()
+        repl(linker, input_stream=io.StringIO(text), output=output)
+        return ((output.getvalue(), linker.dump_state()),
+                (reference_repl(expected, text), expected.dump_state()))
+
+
+# lines for REPL sessions: loops, stray and extra endloops, bad lines,
+# comments, trailing backslashes, builtins and lines holding a CR
+REPL_LINES = ["loop i 1 1", "loop j $(i) 1", "loop k 1 0", "loop i one 2", "loop", "endloop",
+              "endloop extra", "endloop # done", "attach Step named s$(i)x$(j)", "attach Step",
+              "cfg Step define K v$(i)", "cfg Step", "bogus line", "# comment", "# note \\",
+              "", "   ", "attach Step named t \\", "\\", "named q", "  loop j 1 1 \\",
+              "framework run Reset", "dump", "help", "quit", "attach Fork\rendloop",
+              "bogus\rloop i 1 1", "endloop\rloop i 1 1", "loop k 1 1 \\\rnamed z"]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.sampled_from(REPL_LINES), max_size=30),
+       st.sampled_from(["\n", "", " \\\n"]))
+# a line that closes a loop after an error and opens another ends the entry
+@example(["loop i 1 1", "bogus line", "endloop\rloop i 1 1", "endloop"], "\n")
+# an empty line after a continuation, then an error before a loop opens
+@example(["attach Step named t \\", "", "bogus line", "loop i 1 1"], "\n")
+def test_repl_matches_a_repl_that_reparses_on_every_line(lines, end):
+    text = "\n".join(lines) + end
+    actual, expected = repl_and_reference(text)
+    assert actual == expected, text
+
+
+def test_repl_reads_a_deep_nest_as_the_reference_does():
+    actual, expected = repl_and_reference(nested_loops(1000) + "attach Step\ndump\n")
+    # the stack runs out at a line that depends on the caller's depth
+    mask = re.compile(r"^error: <input>:\d+: nested too deeply$", re.MULTILINE)
+    assert [mask.subn("nested", output) for output in actual] == [
+        mask.subn("nested", output) for output in expected]
+    assert mask.search(actual[0]) and "attach Step\n" in actual[0]
 
 
 def test_module_entry_point(fixtures, tmp_path):
