@@ -121,10 +121,9 @@ class RunResult(NamedTuple):
 
 
 class Fork(Configurator):
-    """Batch portal: on RunJob it launches the composites of the scriptgen
-    named by ScriptGenName.  ExecutableList is normally defined as
-    ::construct, so the list is rebuilt (and the composites rematerialized)
-    on every run."""
+    """Batch portal: on RunJob it writes the composites of the scriptgen
+    named by ScriptGenName and launches ExecutableList.  ExecutableList is
+    normally defined as ::construct, so the list is rebuilt on every run."""
 
     SCHEMA = ("ScriptGenName", "ExecutableList")
 
@@ -142,28 +141,30 @@ class Fork(Configurator):
             self.results = []
         return super().on_message(message)
 
-    def _collect_composite_paths(self) -> str:
-        """Construct for ExecutableList: materialize and list the named
-        scriptgen's composites, in emission order."""
-        scriptgen = named_scriptgen(self)
-        if scriptgen is None:
-            return ""
-        import shlex  # here, like subprocess in run_jobs, so start-up never loads it
-        composites = self._linker.collect_script_objects(
+    def _composites(self, scriptgen) -> list:
+        """The composites ``scriptgen`` emitted, in emission order; none for no scriptgen."""
+        return [] if scriptgen is None else self._linker.collect_script_objects(
             producer=scriptgen.description, kind="composite")
-        return " ".join(shlex.quote(str(self._linker.materialize(obj.filename, obj.payload)))
-                        for obj in composites)
+
+    def _collect_composite_paths(self) -> str:
+        """Construct for ExecutableList: the paths of the named scriptgen's
+        composites; run_jobs writes them, this writes nothing."""
+        import shlex  # here, like subprocess in run_jobs, so start-up never loads it
+        return " ".join(shlex.quote(str(self._linker.output_dir / obj.filename))
+                        for obj in self._composites(named_scriptgen(self)))
 
     def run_jobs(self, mode: str = "foreground") -> list[RunResult]:
-        """Spawn every path in ExecutableList according to ``mode``.  In every
-        mode ScriptGenName must name a scriptgen; only a dry run accepts one
-        that writes no shell."""
+        """Write the named scriptgen's composites, then spawn every path in
+        ExecutableList according to ``mode``.  In every mode ScriptGenName must
+        name a scriptgen; only a dry run accepts one that writes no shell."""
         if mode not in RUN_MODES:
             raise RunjobError(f"unknown run mode {mode!r}")
         scriptgen = named_scriptgen(self)
         if mode != "dry-run" and scriptgen is not None and scriptgen.script_target != "shell":
             raise RunjobError(f"{scriptgen.identifier} writes {scriptgen.script_target}, "
                               "not shell")
+        for obj in self._composites(scriptgen):  # before ExecutableList lists them
+            self._linker.materialize(obj.filename, obj.payload)
         import shlex
         try:
             paths = shlex.split(self.resolve_value("ExecutableList"))

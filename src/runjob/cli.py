@@ -206,19 +206,19 @@ def repl(linker: Linker, input_stream=None, output=None) -> None:
             try:  # a logical line is tokenized whole once its last physical line ends it
                 lines = list(tokenize(buffer[-1]))
                 if start < len(buffer) - 1:
-                    lines = list(tokenize("\n".join(buffer[start:])))
+                    lines = list(tokenize("\n".join([*buffer[start:], ""])))
             except DanglingContinuation:
                 prompt("... ")
                 continue
             start = len(buffer)
             depth, closed = count_loops(lines, depth)
-            if not (closed and _run_entry(linker, "\n".join(buffer), out)):
+            if not (closed and _run_entry(linker, "\n".join([*buffer, ""]), out)):
                 prompt("... ")
                 continue
         buffer, start, depth = [], 0, 0
         prompt("runjob> ")
     if buffer:
-        _run_entry(linker, "\n".join(buffer), out, final=True)
+        _run_entry(linker, "\n".join([*buffer, ""]), out, final=True)
     prompt("\n")
     wait_for_jobs(linker)
 

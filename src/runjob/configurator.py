@@ -223,7 +223,6 @@ class Configurator:
     """
 
     SCHEMA: tuple[str, ...] = ()  # keys declared, in this order, on every instance
-    STATIC_REQUIREMENTS: tuple[DependencyPattern, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -243,8 +242,6 @@ class Configurator:
         self._constructors: dict[str, Callable[[], object]] = NO_ENTRIES
         self._definitions: dict[str, _Definition] = NO_ENTRIES  # lazy definitions only
         self._linker = None
-        for pattern in self.STATIC_REQUIREMENTS:
-            self.add_requirement(pattern)
 
     def _writable(self, name: str) -> dict:
         if getattr(self, name) is NO_ENTRIES:

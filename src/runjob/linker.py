@@ -84,11 +84,9 @@ class Linker:
     def attach(self, type_name: str, instance_name: str | None = None) -> str:
         """Instantiate and append a configurator; returns its identifier.
 
-        The configurator is built, checked in strict mode against the
-        attached set, then delegated, before the linker records it, so a
-        failed attach leaves the linker as it was.  The check covers the
-        requirements its class declares (one naming the new configurator
-        itself is satisfied); ``add_requirement`` checks each delegation's.
+        The configurator is built, then delegated, before the linker records
+        it, so a failed attach leaves the linker as it was; in strict mode
+        ``add_requirement`` checks each delegation's requirement.
         """
         factory = self._types.get(type_name)
         if factory is None:
@@ -99,10 +97,6 @@ class Linker:
             raise DuplicateIdentifier(f"{key!r} is already attached")
         cfg = factory(description)
         cfg.bind(self)
-        if self.strict:
-            for requirement in cfg.requirements:
-                if requirement.pattern not in ((type_name, None), description):
-                    self.require_attached(cfg, requirement.pattern)
         for (scriptgen, delegator_type), requirement in self._registrations.items():
             if delegator_type == type_name:
                 self._delegate(cfg, scriptgen, requirement)

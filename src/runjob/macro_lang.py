@@ -148,10 +148,6 @@ class Cfg(_Identified):
         self.instance_name = instance_name
         self.text = text  # the macro's tokens joined by single spaces
 
-    @property
-    def macro(self) -> list[str]:
-        return self.text.split()
-
     def describe(self) -> str:
         return f"cfg {self.identifier} :: {self.text}"
 

@@ -301,6 +301,25 @@ cfg Fork oncall RunJob do define ExecutableList ::construct
         second = linker.find("Fork").store.untriggered_read("ExecutableList")
         assert first == second != ""
 
+    def test_resolving_the_dump_leaves_the_written_composite_alone(self, linker,
+                                                                   helloworld_text):
+        linker.run_mode = "dry-run"
+        execute_script(linker, helloworld_text)
+        linker.run_framework("Reset", "MakeJob", "MakeScript", "RunJob")
+        composite = linker.output_dir / "composite_HelloWorldScriptGen.sh"
+        before = composite.stat()
+        assert str(composite) in linker.dump_state(resolve=True)
+        after = composite.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_executable_list_names_the_composites_and_writes_none(self, linker,
+                                                                 helloworld_text):
+        execute_script(linker, helloworld_text + "cfg Fork define ExecutableList ::construct\n")
+        linker.run_framework("Reset", "MakeJob", "MakeScript")
+        composite = linker.output_dir / "composite_HelloWorldScriptGen.sh"
+        assert linker.find("Fork").resolve_value("ExecutableList") == str(composite)
+        assert not composite.exists()
+
 
 class TestTableOneMultisets:
     """Outcome counts per framework message for the five-configurator setup."""

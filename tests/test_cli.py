@@ -506,6 +506,20 @@ class TestRunCommand:
                 "--dump", str(dump_path), "--resolve", "--run-mode", "dry-run")
         assert "define HelloMessage Salut le Monde" in dump_path.read_text()
 
+    def test_resolve_dump_writes_each_composite_once_per_writer(self, fixtures, tmp_path,
+                                                                monkeypatch):
+        import runjob.linker
+
+        names, write = [], runjob.linker.write_atomically
+        monkeypatch.setattr(runjob.linker, "write_atomically",
+                            lambda path, *args, **kwargs: names.append(path.name)
+                            or write(path, *args, **kwargs))
+        assert run_cli("run", str(fixtures / "helloworld.mac"), "--out", str(tmp_path / "b"),
+                       "--run-mode", "dry-run", "--dump", str(tmp_path / "d.mac"),
+                       "--resolve") == 0
+        # once by the Fork's RunJob, once by the CLI; resolving the dump writes none
+        assert names == ["composite_HelloWorldScriptGen.sh"] * 2
+
     @pytest.mark.parametrize("out", ["o#1", "o  1", "o\n1"],
                              ids=["hash", "double-space", "newline"])
     @pytest.mark.parametrize("dump", ["-", "state.mac"], ids=["stdout", "file"])
@@ -639,6 +653,13 @@ class TestRepl:
         assert "error:" in out
         assert [c.identifier for c in linker.configurators] == ["Step named ok1"]
 
+    def test_empty_line_ends_a_continued_line_as_in_a_file(self, tmp_path):
+        linker = make_linker(output_dir=tmp_path)
+        out = self.drive(linker, "attach Step named t \\\n\ndump\n")
+        assert "error:" not in out
+        assert "attach Step named t\n" in out
+        assert [c.identifier for c in linker.configurators] == ["Step named t"]
+
     def test_comment_ending_in_backslash_does_not_continue(self, tmp_path):
         # as in a script, a backslash inside a comment joins no lines
         linker = make_linker(output_dir=tmp_path)
@@ -698,12 +719,12 @@ class TestRepl:
 
 def reference_repl(linker, text):
     """The REPL's output for ``text`` as it was when it re-parsed its whole
-    open entry on every line it read."""
+    open entry, each line ending in a line break, on every line it read."""
     out = io.StringIO()
     buffer, incomplete = [], None
     for raw in io.StringIO(text):
         buffer.append(raw.rstrip())
-        entry = "\n".join(buffer)
+        entry = "\n".join([*buffer, ""])
         command = entry.strip()
         if command in ("quit", "exit"):
             break
@@ -777,13 +798,11 @@ def test_repl_reads_a_deep_nest_as_the_reference_does():
     assert mask.search(actual[0]) and "attach Step\n" in actual[0]
 
 
-def test_module_entry_point(fixtures, tmp_path):
+def test_module_entry_point(fixtures, tmp_path, runjob_command):
     out = tmp_path / "build"
-    finished = subprocess.run(
-        [sys.executable, "-m", "runjob", "run", str(fixtures / "helloworld.mac"),
-         "--out", str(out), "--run-mode", "dry-run"],
-        capture_output=True, text=True)
-    assert finished.returncode == 0
+    finished = runjob_command("run", fixtures / "helloworld.mac", "--out", out,
+                              "--run-mode", "dry-run")
+    assert finished.returncode == 0, finished.stderr
     assert (out / "composite_HelloWorldScriptGen.sh").exists()
 
 
@@ -821,21 +840,18 @@ def write_reference_chain(tmp_path, depth, attach_order) -> Path:
     return script
 
 
-def run_reference_chain(tmp_path, depth, attach_order):
-    """Run :func:`write_reference_chain`'s script in a child interpreter."""
+def run_reference_chain(runjob_command, tmp_path, depth, attach_order):
+    """Run :func:`write_reference_chain`'s script in a child process."""
     script = write_reference_chain(tmp_path, depth, attach_order)
-    return subprocess.run(
-        [sys.executable, "-m", "runjob", "run", str(script), "--out", str(tmp_path / "build"),
-         "--run-mode", "dry-run"],
-        capture_output=True, text=True)
+    return runjob_command("run", script, "--out", tmp_path / "build", "--run-mode", "dry-run")
 
 
-def test_too_deep_reference_chain_is_a_clean_error(tmp_path):
+def test_too_deep_reference_chain_is_a_clean_error(tmp_path, runjob_command):
     # attached last step first, the first read walks all 10,000 hops; each hop
     # nests several interpreter frames, which exceeds the default recursion
     # limit many times over
     depth = 10_000
-    finished = run_reference_chain(tmp_path, depth, reversed(range(depth)))
+    finished = run_reference_chain(runjob_command, tmp_path, depth, reversed(range(depth)))
     assert finished.returncode == 1
     assert finished.stderr.startswith("error: reference chain from Step named S")
     assert ":InputFile is too deep to resolve" in finished.stderr
@@ -872,14 +888,12 @@ def write_deep_script(tmp_path, kind, depth) -> Path:
     ("sources", 400, ("--check",)),
     ("oncalls", 1000, ()),
 ])
-def test_too_deep_nesting_is_a_clean_error(tmp_path, kind, depth, flags):
+def test_too_deep_nesting_is_a_clean_error(tmp_path, kind, depth, flags, runjob_command):
     # the stack runs out at a line that depends on how deep the caller
     # already is, so the line number is not pinned
     script = write_deep_script(tmp_path, kind, depth)
-    finished = subprocess.run(
-        [sys.executable, "-m", "runjob", "run", str(script), "--out", str(tmp_path / "build"),
-         "--run-mode", "dry-run", *flags],
-        capture_output=True, text=True)
+    finished = runjob_command("run", script, "--out", tmp_path / "build", "--run-mode", "dry-run",
+                              *flags)
     assert finished.returncode == 1
     assert "Traceback" not in finished.stderr
     assert re.fullmatch(rf"error: {re.escape(str(tmp_path.resolve()))}/\w+\.mac:\d+: "
@@ -887,23 +901,22 @@ def test_too_deep_nesting_is_a_clean_error(tmp_path, kind, depth, flags):
 
 
 @pytest.mark.parametrize("flags", [(), ("--check",)])
-def test_a_nest_that_parses_but_is_too_deep_to_run_is_a_clean_error(tmp_path, flags):
+def test_a_nest_that_parses_but_is_too_deep_to_run_is_a_clean_error(tmp_path, flags,
+                                                                     runjob_command):
     # a nest is parsed without recursion, so only running or checking it runs out of stack
     script = write_deep_script(tmp_path, "loops", 5000)
-    finished = subprocess.run(
-        [sys.executable, "-m", "runjob", "run", str(script), "--out", str(tmp_path / "build"),
-         "--run-mode", "dry-run", *flags],
-        capture_output=True, text=True)
+    finished = runjob_command("run", script, "--out", tmp_path / "build", "--run-mode", "dry-run",
+                              *flags)
     assert finished.returncode == 1
     assert re.fullmatch(rf"error: {re.escape(str(script.resolve()))}:\d+: nested too deeply\n",
                         finished.stderr), finished.stderr
 
 
-def test_in_order_deep_reference_chain_resolves(tmp_path):
+def test_in_order_deep_reference_chain_resolves(tmp_path, runjob_command):
     # attached first step first, each read is one hop onto a predecessor
     # that was resolved just before
     depth = 10_000
-    finished = run_reference_chain(tmp_path, depth, range(depth))
+    finished = run_reference_chain(runjob_command, tmp_path, depth, range(depth))
     assert finished.returncode == 0, finished.stderr
     composite = (tmp_path / "build" / "composite_ScriptGen.sh").read_text()
     fragments = [line for line in composite.splitlines() if line.startswith('"cat"')]
@@ -975,20 +988,19 @@ def test_repl_has_no_target_option(capsys):
     assert "--target" in capsys.readouterr().err
 
 
-def test_repl_subcommand_reads_stdin(tmp_path):
-    finished = subprocess.run(
-        [sys.executable, "-m", "runjob", "repl", "--out", str(tmp_path)],
-        input="attach Fork\ndump\nquit\n", capture_output=True, text=True)
-    assert finished.returncode == 0
+def test_repl_subcommand_reads_stdin(tmp_path, runjob_command):
+    finished = runjob_command("repl", "--out", tmp_path,
+                              stdin="attach Fork\nframework run Reset\ndump\nquit\n")
+    assert finished.returncode == 0, finished.stderr
+    assert "Reset Fork: Handled" in finished.stdout
     assert "attach Fork" in finished.stdout
 
 
 @pytest.mark.parametrize("flags, written", [(("--check",), False),
                                             (("--run-mode", "dry-run"), True)])
-def test_script_can_be_piped_in(fixtures, tmp_path, flags, written):
-    finished = subprocess.run(
-        [sys.executable, "-m", "runjob", "run", "/dev/stdin", "--out", str(tmp_path), *flags],
-        input=(fixtures / "helloworld.mac").read_text(), capture_output=True, text=True)
+def test_script_can_be_piped_in(fixtures, tmp_path, flags, written, runjob_command):
+    finished = runjob_command("run", "/dev/stdin", "--out", tmp_path, *flags,
+                              stdin=(fixtures / "helloworld.mac").read_text())
     assert finished.returncode == 0, finished.stderr
     assert (tmp_path / "composite_HelloWorldScriptGen.sh").exists() == written
 
@@ -1001,14 +1013,10 @@ def test_script_can_be_piped_in(fixtures, tmp_path, flags, written):
     ("source /dev/stdin\n", ("--check",), "error: <stdin>:1: <stdin> is already being sourced\n"),
 ], ids=["source --check", "source dry-run", "error", "cycle"])
 def test_piped_script_is_stdin_and_sources_from_the_working_directory(tmp_path, text, flags,
-                                                                      error):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+                                                                      error, runjob_command):
     (tmp_path / "inc.mac").write_text("attach Fork\n")
-    finished = subprocess.run(
-        [sys.executable, "-m", "runjob", "run", "/dev/stdin", "--out", "out", *flags],
-        input=text, capture_output=True, text=True, cwd=tmp_path, env=env)
+    finished = runjob_command("run", "/dev/stdin", "--out", "out", *flags, cwd=tmp_path,
+                              stdin=text)
     assert (finished.returncode, finished.stderr) == ((1 if error else 0), error)
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from runjob import execute_script, make_linker
-from runjob.configurator import Configurator, ConfiguratorDescription, DependencyPattern
+from runjob.configurator import Configurator, ConfiguratorDescription
 from runjob.errors import (
     AmbiguousIdentifier,
     DuplicateIdentifier,
@@ -24,8 +24,12 @@ from runjob.scriptgen import ScriptObject
 from runjob.trigger_store import current_epoch
 
 
-class NeedsServer(Configurator):
-    STATIC_REQUIREMENTS = (DependencyPattern("FileInput"),)
+class FailsToBuild(Configurator):
+    """Raises once its base class is built, so every attach of it fails."""
+
+    def __init__(self, description):
+        super().__init__(description)
+        raise RunjobError(f"{self.identifier} cannot be built")
 
 
 class TestAttach:
@@ -42,68 +46,48 @@ class TestAttach:
         with pytest.raises(UnknownType):
             linker.attach("Nonesuch")
 
-    def test_strict_static_requirement_enforced(self, linker):
-        linker.register_type("NeedsServer", NeedsServer)
-        with pytest.raises(UnsatisfiedDependency):
-            linker.attach("NeedsServer")
-        assert linker.configurators == []  # attach rolled back
-        linker.attach("FileInput")
-        linker.attach("NeedsServer")
-
-    def test_requirement_naming_the_attaching_configurator_is_satisfied(self, linker):
-        class NeedsItself(Configurator):
-            STATIC_REQUIREMENTS = (DependencyPattern("NeedsItself"),
-                                   DependencyPattern("NeedsItself", "solo"))
-
-        linker.register_type("NeedsItself", NeedsItself)
-        assert linker.attach("NeedsItself", "solo") == "NeedsItself named solo"
-
-    def test_lenient_skips_static_validation(self, lenient_linker):
-        lenient_linker.register_type("NeedsServer", NeedsServer)
-        lenient_linker.attach("NeedsServer")
-
     def test_rolled_back_attach_leaves_no_index_entry(self, linker):
-        linker.register_type("NeedsServer", NeedsServer)
-        with pytest.raises(UnsatisfiedDependency):
-            linker.attach("NeedsServer", "web")
+        linker.register_type("FailsToBuild", FailsToBuild)
+        with pytest.raises(RunjobError, match="cannot be built"):
+            linker.attach("FailsToBuild", "web")
         with pytest.raises(UnknownConfigurator):
             linker.find("web")
         linker.attach("Step", "probe")
         with pytest.raises(UnsatisfiedDependency):
-            linker.route("Step named probe", "addreq NeedsServer")
-        linker.attach("FileInput")
-        assert linker.attach("NeedsServer", "web") == "NeedsServer named web"
-        assert linker.find("web").identifier == "NeedsServer named web"
+            linker.route("Step named probe", "addreq FailsToBuild")
+        linker.register_type("FailsToBuild", Configurator)
+        assert linker.attach("FailsToBuild", "web") == "FailsToBuild named web"
+        assert linker.find("web").identifier == "FailsToBuild named web"
 
     def test_failed_strict_attach_changes_nothing(self, linker):
-        linker.register_type("NeedsServer", NeedsServer)
+        linker.register_type("FailsToBuild", FailsToBuild)
         probe = linker.find(linker.attach("Step", "probe"))
         epoch, attached = current_epoch(), linker.configurators
-        with pytest.raises(UnsatisfiedDependency):
-            linker.attach("NeedsServer")
+        with pytest.raises(RunjobError, match="cannot be built"):
+            linker.attach("FailsToBuild")
         assert (current_epoch(), linker.configurators) == (epoch, attached)
         with pytest.raises(UnknownConfigurator):
-            linker.find("NeedsServer")
+            linker.find("FailsToBuild")
         with pytest.raises(UnsatisfiedDependency):
-            probe.apply_macro("addreq NeedsServer")
+            probe.apply_macro("addreq FailsToBuild")
 
     def test_failed_strict_attach_of_a_schema_type_leaves_the_epoch(self, linker):
-        class Keyed(NeedsServer):
+        class Keyed(FailsToBuild):
             SCHEMA = ("A", "B")
 
         linker.register_type("Keyed", Keyed)  # a class: attach builds it
         epoch = current_epoch()
-        with pytest.raises(UnsatisfiedDependency):
+        with pytest.raises(RunjobError, match="cannot be built"):
             linker.attach("Keyed")
         assert current_epoch() == epoch
 
     def test_failed_strict_attach_leaves_the_epoch(self, linker):
-        linker.register_type("NeedsServer", NeedsServer)
+        linker.register_type("FailsToBuild", FailsToBuild)
         linker.attach("ScriptGen")
-        linker.route("ScriptGen", "register NeedsServer")
+        linker.route("ScriptGen", "register FailsToBuild")
         epoch = current_epoch()  # read before the configurator is built
-        with pytest.raises(UnsatisfiedDependency):
-            linker.attach("NeedsServer")
+        with pytest.raises(RunjobError, match="cannot be built"):
+            linker.attach("FailsToBuild")
         assert current_epoch() == epoch
 
     def test_each_strict_requirement_is_checked_once(self, linker, monkeypatch):
@@ -152,12 +136,6 @@ class TestFind:
         execute_script(linker, "attach HelloWorld named English\n"
                                "cfg HelloWorld named English additem Probe\n")
         assert "Probe" in linker.find("HelloWorld named English").store
-
-
-class RollsBack(Configurator):
-    """Its attach always fails in strict mode, so the linker rolls it back."""
-
-    STATIC_REQUIREMENTS = (DependencyPattern("Missing"),)
 
 
 FIND_TYPES = ("A", "B", "named", "RollsBack")
@@ -216,13 +194,15 @@ def test_find_agrees_with_parse_then_lookup(attaches, identifiers):
     """After each attach, or rolled-back attach, ``find`` returns what the
     reference does for every spelling, or raises the same error."""
     linker = make_linker(types={"A": Configurator, "B": Configurator, "named": Configurator,
-                                "RollsBack": RollsBack})
+                                "RollsBack": FailsToBuild})
     attached = []
     for type_name, instance in attaches:
         try:
             linker.attach(type_name, instance)
-        except (DuplicateIdentifier, UnsatisfiedDependency):
+        except DuplicateIdentifier:
             pass
+        except RunjobError:
+            assert type_name == "RollsBack"  # the one type whose build fails
         else:
             attached.append((type_name, instance or type_name))
         for identifier in identifiers:

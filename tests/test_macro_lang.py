@@ -139,13 +139,12 @@ class TestParseDirective:
         directive = self.parse_one("cfg Fork oncall RunJob do define ExecutableList ::construct")
         assert isinstance(directive, Cfg)
         assert directive.identifier == "Fork"
-        assert directive.macro == ["oncall", "RunJob", "do", "define",
-                                   "ExecutableList", "::construct"]
+        assert directive.text == "oncall RunJob do define ExecutableList ::construct"
 
     def test_cfg_named_identifier_consumes_three_tokens(self):
         directive = self.parse_one("cfg HelloWorld named English define HelloMessage hi")
         assert directive.identifier == "HelloWorld named English"
-        assert directive.macro[0] == "define"
+        assert directive.text == "define HelloMessage hi"
 
     @pytest.mark.parametrize("text", [
         "attach",
@@ -541,7 +540,7 @@ class TestParsedRepresentation:
     def test_a_cfg_holds_its_macro_as_one_string(self):
         [cfg] = parse_script("cfg Step named a define  Key two \\\n  words $(i)\n")
         assert not any(isinstance(value, list) for value in vars(cfg).values())
-        assert cfg.macro == ["define", "Key", "two", "words", "$(i)"]
+        assert cfg.text == "define Key two words $(i)"
         assert cfg.describe() == "cfg Step named a :: define Key two words $(i)"
 
 
