@@ -18,10 +18,9 @@ import sys
 from pathlib import Path
 
 from .builtins import RUN_MODES, Fork, make_linker
-from .errors import DanglingContinuation, IncompleteInput, RunjobError
+from .errors import IncompleteInput, RunjobError
 from .linker import Linker, cannot_write, write_atomically
-from .macro_lang import (MacroInterpreter, check_script, count_loops, execute_file,
-                         parse_script, tokenize)
+from .macro_lang import MacroInterpreter, Parser, check_script, execute_file
 from .scriptgen import DAG_FILENAME, build_dag
 
 DEFAULT_FRAMEWORK = ("Reset", "MakeJob", "MakeScript", "RunJob")
@@ -80,6 +79,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         if args.command == "repl":
+            sys.stdin.reconfigure(encoding="utf-8", errors="replace")  # whatever the locale
             repl(_new_linker(args))
             return 0
         return run_script(args)
@@ -178,9 +178,9 @@ builtins:   dump        print the declarative state dump
 
 def repl(linker: Linker, input_stream=None, output=None) -> None:
     """Line-oriented interactive session; errors are printed, not fatal.
-    Lines are buffered while their entry is ``IncompleteInput``, parsing it
-    only where it can end: a line ends, and at some point of it no loop is
-    open.  An entry still incomplete when input ends is reported as that error."""
+    Each line read is fed to the parser that reads scripts, and its entry
+    runs once the parser holds it complete; an entry still incomplete when
+    input ends is reported as that error."""
     stream = input_stream if input_stream is not None else sys.stdin
     out = output if output is not None else sys.stdout
     interactive = input_stream is None and stream.isatty()
@@ -190,11 +190,10 @@ def repl(linker: Linker, input_stream=None, output=None) -> None:
             out.write(text)
             out.flush()
 
-    buffer: list[str] = []  # the physical lines of the open entry
-    start = depth = 0  # where its open logical line starts; the loops open in it
+    parser = Parser()  # of the open entry, which has read a line once parser.lineno > 0
     prompt("runjob> ")
     for raw in stream:
-        command = None if buffer else raw.strip()
+        command = None if parser.lineno else raw.strip()
         if command in ("quit", "exit"):
             break
         if command == "help":
@@ -202,37 +201,28 @@ def repl(linker: Linker, input_stream=None, output=None) -> None:
         elif command == "dump":
             out.write(linker.dump_state())
         else:
-            buffer.append(raw.rstrip())
-            try:  # a logical line is tokenized whole once its last physical line ends it
-                lines = list(tokenize(buffer[-1]))
-                if start < len(buffer) - 1:
-                    lines = list(tokenize("\n".join([*buffer[start:], ""])))
-            except DanglingContinuation:
+            parser.feed(raw)
+            try:
+                directives = parser.finish()
+            except IncompleteInput:
                 prompt("... ")
                 continue
-            start = len(buffer)
-            depth, closed = count_loops(lines, depth)
-            if not (closed and _run_entry(linker, "\n".join([*buffer, ""]), out)):
-                prompt("... ")
-                continue
-        buffer, start, depth = [], 0, 0
+            except RunjobError as exc:
+                out.write(f"error: {exc}\n")
+            else:
+                _run_entry(linker, directives, out)
+            parser = Parser()
         prompt("runjob> ")
-    if buffer:
-        _run_entry(linker, "\n".join([*buffer, ""]), out, final=True)
+    try:
+        parser.finish()  # raises for an entry that input ended inside
+    except RunjobError as exc:
+        out.write(f"error: {exc}\n")
     prompt("\n")
     wait_for_jobs(linker)
 
 
-def _run_entry(linker: Linker, text: str, out, final: bool = False) -> bool:
-    """Parse and run one REPL entry, writing what it did or its error to
-    ``out``; False, writing nothing, if it is incomplete and not ``final``."""
-    try:
-        directives = parse_script(text)
-    except RunjobError as exc:
-        if isinstance(exc, IncompleteInput) and not final:
-            return False
-        out.write(f"error: {exc}\n")
-        return True
+def _run_entry(linker: Linker, directives, out) -> None:
+    """Run one entry's directives, writing what they did or their error to ``out``."""
     interpreter = MacroInterpreter(linker)
     try:
         interpreter.run_directives(directives, None)
@@ -241,7 +231,6 @@ def _run_entry(linker: Linker, text: str, out, final: bool = False) -> bool:
         print_run_reports(linker, out)
     except (RunjobError, OSError) as exc:
         out.write(f"error: {exc}\n")
-    return True
 
 
 if __name__ == "__main__":  # pragma: no cover

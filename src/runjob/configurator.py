@@ -362,15 +362,14 @@ class Configurator:
         requirement = pattern if isinstance(pattern, Requirement) else Requirement(pattern, auto)
         pattern = requirement.pattern
         existing = self._requirements.get(pattern)
-        if existing is not None:
-            if existing.auto and not requirement.auto:
-                # an explicit addreq outranks the registration-implied edge
-                existing = self._requirements[pattern] = requirement
-            return existing
+        if existing is not None and (requirement.auto or not existing.auto):
+            return existing  # only an explicit addreq outranks a registration-implied edge
         if self._linker is not None and self._linker.strict:
             self._linker.require_attached(self, pattern)
-        # no epoch step: a requirement only widens visibility, and no failure is memoized
-        self._writable("_requirements")[pattern] = requirement
+        # no epoch step: a requirement only widens visibility, and no failure is memoized;
+        # an outranking one goes last, where a dump, registering before any addreq, puts it
+        self._writable("_requirements").pop(pattern, None)
+        self._requirements[pattern] = requirement
         return requirement
 
     def set_synonym(self, key: str, target: tuple[str, str]) -> None:

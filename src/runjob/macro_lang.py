@@ -15,7 +15,7 @@ Grammar (line oriented, UTF-8, lines end at LF, CRLF or CR):
 A trailing backslash joins the next physical line with a single space.
 Tokens are whitespace separated; identifiers follow the configurator
 module's grammar, where ``named`` is reserved in identifier position.
-Lines stream from ``tokenize`` into a one-pass parser that folds each
+One push ``Parser`` reads scripts, checks and REPL lines alike, folding each
 ``loop ... endloop`` into a ``Loop`` holding its body's directives; each
 iteration substitutes its integer value into copies of them.  A ``Cfg``
 keeps its macro as one string, split when it runs, and type names are
@@ -44,8 +44,6 @@ from .errors import (
 )
 
 _BLOCK = 1024  # characters split_lines splits at once, so that it never holds every line
-LOOP_KEYWORD = "loop"
-ENDLOOP_KEYWORD = "endloop"
 
 
 class LogicalLine:
@@ -79,28 +77,9 @@ def split_lines(text: str) -> Iterator[str]:
 
 def tokenize(text: str, filename: str | None = None) -> Iterator[LogicalLine]:
     """Yield the logical lines of ``text``, each a list of whitespace-separated tokens."""
-    pending: list[str] = []
-    pending_lineno = 0
-    pending_comment = False
-    for index, raw in enumerate(split_lines(text), start=1):
-        if not pending and "#" not in raw and "\\" not in raw:
-            yield LogicalLine(index, raw.split())  # the common, plain line
-            continue
-        stripped, hash_mark, _ = raw.partition("#")
-        stripped = stripped.rstrip()
-        if not pending:
-            pending_lineno = index
-            pending_comment = False
-        pending_comment = pending_comment or bool(hash_mark)
-        if stripped.endswith("\\"):
-            pending.append(stripped[:-1])
-            continue
-        pending.append(stripped)
-        yield LogicalLine(pending_lineno, " ".join(pending).split(), pending_comment)
-        pending = []
-    if pending:  # the last physical line ends with a backslash
-        raise DanglingContinuation("line continuation at end of input",
-                                   filename=filename, lineno=index)
+    parser = Parser(filename)
+    yield from parser.lines(text)
+    parser.finish()  # raises DanglingContinuation if the last line continues
 
 
 # directives
@@ -181,13 +160,12 @@ class Source(Directive):
 
 
 class Loop(Directive):
-    def __init__(self, lineno: int = 0, var: str = "", start: str = "0", stop: str = "0",
-                 body: list[Directive] | None = None):
+    def __init__(self, lineno: int, var: str, start: str, stop: str):
         self.lineno = lineno
         self.var = var
         self.start = start
         self.stop = stop
-        self.body = [] if body is None else body
+        self.body: list[Directive] = []
 
     def describe(self) -> str:
         return f"loop {self.var} {self.start} {self.stop} body={len(self.body)}"
@@ -223,7 +201,7 @@ def parse_directive(line: LogicalLine, filename: str | None = None) -> Directive
         if len(tokens) != 2:
             raise ParseError("usage: source <path>", filename=filename, lineno=line.lineno)
         return Source(line.lineno, tokens[1])
-    if head == ENDLOOP_KEYWORD:
+    if head == "endloop":
         raise ParseError("endloop without a matching loop",
                          filename=filename, lineno=line.lineno)
     raise ParseError(f"unknown directive {head!r}", filename=filename, lineno=line.lineno)
@@ -253,50 +231,83 @@ def _loop_bound(bound: str, lineno: int, filename, loop_vars: Iterable[str] = ()
                          filename=filename, lineno=lineno) from None
 
 
-def parse_block(lines: Iterable[LogicalLine], filename: str | None = None) -> list[Directive]:
-    """Parse logical lines, in one pass, into directives, folding each
-    loop...endloop into a ``Loop`` whose body holds its parsed directives.
+class Parser:
+    """A push parser: ``feed`` it whole lines of text, and ``finish`` gives
+    what one parse of all of it would.  Between feeds it keeps the open
+    continued line, the open loops and the first ParseError."""
 
-    A loop open at a ParseError that never closes is ``IncompleteInput``
-    whatever it contains, unless a continuation dangles at the end.
-    """
-    directives: list[Directive] = []
-    open_loops: list[tuple[LogicalLine, list[Directive]]] = []  # header, the list holding it
-    lines = iter(lines)
-    try:
+    def __init__(self, filename: str | None = None):
+        self.filename = filename
+        self.lineno = 0  # physical lines read
+        self._continued: LogicalLine | None = None  # the logical line a backslash keeps open
+        self._into = self.directives = []  # the list the next directive joins; the top level
+        self._open: list[tuple[LogicalLine, list[Directive]]] = []  # header, the list holding it
+        self._error: ParseError | None = None
+        self._closed = False  # whether no loop was open at or after the error
+
+    def feed(self, text: str) -> None:
+        self.fold(self.lines(text))
+
+    def lines(self, text: str) -> Iterator[LogicalLine]:
+        """Yield the logical lines that the physical lines of ``text`` end."""
+        continued, lineno = self._continued, self.lineno
+        for lineno, raw in enumerate(split_lines(text), start=lineno + 1):
+            if continued is None and "#" not in raw and "\\" not in raw:
+                yield LogicalLine(lineno, raw.split())  # the common, plain line
+                continue
+            line = continued or LogicalLine(lineno, [])
+            code = raw.partition("#")[0].rstrip()
+            line.comment |= "#" in raw
+            line.tokens += code.removesuffix("\\").split()
+            continued = line if code.endswith("\\") else None
+            if continued is None:
+                yield line
+        self._continued, self.lineno = continued, lineno  # once every line is read
+
+    def fold(self, lines: Iterable[LogicalLine]) -> None:
+        """Fold logical lines into directives, each loop...endloop into a ``Loop``
+        holding its body's; after the first error only count the loops."""
+        into, open_loops, filename, error = self._into, self._open, self.filename, self._error
         for line in lines:
             head = line.tokens[0] if line.tokens else None
-            if head == LOOP_KEYWORD:
-                open_loops.append((line, directives))  # before its check, which may fail
-                loop = _parse_loop_header(line, filename, open_loops)
-                directives.append(loop)
-                directives = loop.body
-            elif head == ENDLOOP_KEYWORD and open_loops:
-                directives = open_loops.pop()[1]
-                if len(line.tokens) > 1:
-                    raise ParseError("usage: endloop", filename=filename, lineno=line.lineno)
-            else:
-                directives.append(parse_directive(line, filename))
-    except ParseError as error:  # read on: a dangling continuation, then an open loop, wins
-        depth = 0 if isinstance(error, DanglingContinuation) else len(open_loops)
-        if count_loops(lines, depth)[1]:
-            raise
-    if open_loops:
-        raise IncompleteInput("loop without a matching endloop",
-                              filename=filename, lineno=open_loops[0][0].lineno)
-    return directives
+            try:
+                if head == "endloop" and open_loops:
+                    into = open_loops.pop()[1]
+                    if len(line.tokens) > 1 and error is None:
+                        raise ParseError("usage: endloop", filename=filename, lineno=line.lineno)
+                elif head == "loop":
+                    open_loops.append((line, into))  # before its check, which may fail
+                    if error is None:
+                        into.append(_parse_loop_header(line, filename, open_loops))
+                        into = into[-1].body
+                elif error is None:
+                    into.append(parse_directive(line, filename))
+            except ParseError as exc:
+                error = self._error = exc
+            if error is not None and not open_loops:
+                self._closed = True
+        self._into = into
+
+    def finish(self) -> list[Directive]:
+        """The directives of all the text fed, or the error parsing it raises:
+        a dangling continuation; else the first ParseError, once no loop was
+        open at or after it; else ``IncompleteInput`` at the outermost open loop."""
+        if self._continued is not None:
+            raise DanglingContinuation("line continuation at end of input",
+                                       filename=self.filename, lineno=self.lineno)
+        if self._closed:
+            raise self._error
+        if self._open:
+            raise IncompleteInput("loop without a matching endloop",
+                                  filename=self.filename, lineno=self._open[0][0].lineno)
+        return self.directives
 
 
-def count_loops(lines: Iterable[LogicalLine], depth: int) -> tuple[int, bool]:
-    """Count the loops ``lines`` leave open, ``depth`` being open before them:
-    a loop opens one, an endloop closes an open one.  Also say whether none
-    was open at some point, where the text they belong to could end."""
-    closed = not depth
-    for line in lines:
-        head = line.tokens[0] if line.tokens else None
-        depth += (head == LOOP_KEYWORD) - (head == ENDLOOP_KEYWORD and depth > 0)
-        closed = closed or not depth
-    return depth, closed
+def parse_block(lines: Iterable[LogicalLine], filename: str | None = None) -> list[Directive]:
+    """Parse logical lines, in one pass, into directives (see :meth:`Parser.finish`)."""
+    parser = Parser(filename)
+    parser.fold(lines)
+    return parser.finish()
 
 
 def parse_script(text: str, filename: str | None = None) -> list[Directive]:

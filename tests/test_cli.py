@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from runjob import cli, make_linker
+from runjob import cli, macro_lang, make_linker
 from runjob.cli import LENIENT_ENV_VAR, main, repl
 from runjob.errors import IncompleteInput, RunjobError
 from runjob.macro_lang import MacroInterpreter, parse_script
@@ -26,17 +26,21 @@ def run_cli(*args):
     return main(list(args))
 
 
-def run_under_ascii_locale(script, out, *flags, **env):
-    """``python -m runjob run`` in a child interpreter whose locale encoding
-    is ASCII (the C locale, not coerced, UTF-8 mode off)."""
+def runjob_under_ascii_locale(*args, cwd, stdin=None, **env):
+    """``python -m runjob args`` in a child interpreter whose locale encoding
+    is ASCII (the C locale, not coerced, UTF-8 mode off), fed ``stdin`` bytes."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
                **env)
-    return subprocess.run(
-        [sys.executable, "-X", "utf8=0", "-m", "runjob", "run", str(script),
-         "--out", str(out), *flags],
-        capture_output=True, env=env, cwd=script.parent)
+    return subprocess.run([sys.executable, "-X", "utf8=0", "-m", "runjob", *map(str, args)],
+                          input=stdin, capture_output=True, env=env, cwd=cwd)
+
+
+def run_under_ascii_locale(script, out, *flags, **env):
+    """``python -m runjob run script`` under an ASCII locale."""
+    return runjob_under_ascii_locale("run", script, "--out", out, *flags, cwd=script.parent,
+                                     **env)
 
 
 class TestRunCommand:
@@ -212,6 +216,25 @@ class TestRunCommand:
         assert finished.returncode == 1
         assert finished.stderr.startswith(b"error: ")
         assert b"Traceback" not in finished.stderr
+
+    def test_repl_reads_utf8_input_under_an_ascii_locale(self, tmp_path):
+        # a byte that is not UTF-8 becomes U+FFFD, as in a foreground job's output
+        session = ("attach HelloWorldScriptGen\n"
+                   "attach Step named S\n"
+                   "cfg HelloWorldScriptGen register Step\n"
+                   "cfg Step named S define Executable echo\n"
+                   "cfg Step named S define Args hé x\udcff\n"
+                   "attach Fork\n"
+                   "cfg Fork define ScriptGenName HelloWorldScriptGen\n"
+                   "cfg Fork define ExecutableList ::construct\n"
+                   "framework run Reset MakeJob MakeScript RunJob\n")
+        finished = runjob_under_ascii_locale(
+            "repl", "--out", tmp_path / "out", "--run-mode", "dry-run", cwd=tmp_path,
+            stdin=session.encode("utf-8", "surrogateescape"))
+        assert finished.returncode == 0, finished.stderr
+        assert finished.stderr == b""
+        composite = tmp_path / "out" / "composite_HelloWorldScriptGen.sh"
+        assert '"echo" hé x\ufffd\n'.encode() in composite.read_bytes()
 
     def test_foreground_job_output_is_decoded_as_utf8_under_an_ascii_locale(self, tmp_path):
         # the job prints UTF-8 text and a byte that is not UTF-8; the locale's
@@ -787,6 +810,19 @@ def test_repl_matches_a_repl_that_reparses_on_every_line(lines, end):
     text = "\n".join(lines) + end
     actual, expected = repl_and_reference(text)
     assert actual == expected, text
+
+
+def test_repl_tokenizes_each_input_character_once(monkeypatch):
+    # counted, not timed: the text split into physical lines adds up to the input
+    text = nested_loops(1000) + "attach Step\n"
+    split = macro_lang.split_lines
+    split_characters = []
+    monkeypatch.setattr(macro_lang, "split_lines",
+                        lambda text: split_characters.append(len(text)) or split(text))
+    with tempfile.TemporaryDirectory() as tmp:  # nothing is written there
+        repl(make_linker(output_dir=Path(tmp)), input_stream=io.StringIO(text),
+             output=io.StringIO())
+    assert sum(split_characters) == len(text)
 
 
 def test_repl_reads_a_deep_nest_as_the_reference_does():

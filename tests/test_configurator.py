@@ -250,14 +250,15 @@ class TestRequirements:
         patterns = [r.pattern for r in cfg.requirements]
         assert len(patterns) == len(set(patterns))
 
-    def test_explicit_addreq_outranks_an_implied_one_in_place(self):
+    def test_explicit_addreq_outranks_an_implied_one_in_addreq_order(self):
+        # a dump registers before its addreqs, so only the addreq order survives it
         cfg = bare()
         cfg.add_requirement(DependencyPattern("A"), auto=True)
         cfg.add_requirement(DependencyPattern("B"))
         cfg.add_requirement(DependencyPattern("A"))
-        assert cfg.requirements == ((DependencyPattern("A"), False),
-                                    (DependencyPattern("B"), False))
-        assert cfg.dump_commands() == ["addreq A", "addreq B"]
+        assert cfg.requirements == ((DependencyPattern("B"), False),
+                                    (DependencyPattern("A"), False))
+        assert cfg.dump_commands() == ["addreq B", "addreq A"]
 
     def test_attaching_more_never_invalidates(self, linker):
         linker.attach("HelloWorldScriptGen")

@@ -437,3 +437,76 @@ class TestDumpState:
         execute_script(linker, helloworld_text)
         dump = linker.dump_state()
         assert "define HelloMessage ::HelloWorldScriptGen:English" in dump
+
+
+DUMP_TYPES = ("HelloWorldScriptGen", "ScriptGen", "HelloWorld", "Step", "Fork")
+DUMP_MESSAGES = ("Reset", "MakeJob", "MakeScript", "g0")
+
+
+@st.composite
+def dump_scripts(draw):
+    """A script that attaches configurators, then mixes literal, reference
+    and synonym defines, addreq, repeated ``register``, ``oncall``,
+    framework groups and runs, and loops whose bodies use ``$(i)``."""
+    types = draw(st.lists(st.sampled_from(DUMP_TYPES), min_size=1, max_size=5))
+    names = [f"c{index}" for index in range(len(types))]
+    scriptgens = [name for type_name, name in zip(types, names) if type_name.endswith("ScriptGen")]
+
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    def cfg(keys):
+        key, index = pick(keys), pick(range(len(names)))
+        target = f"::{pick(names)}:{pick(('k0', 'k1'))}"
+        return f"cfg {pick(names)} " + pick((
+            f"define {key} {pick(('alpha', 'beta gamma', 'data-1'))}", f"define {key} {target}",
+            f"synonym {key} {target}", f"define {key} ::synonym", f"define {key} ::synonym:k1",
+            f"additem {key}", f"addreq {types[index]} named {names[index]}",
+            f"addreq {types[index]}", f"oncall {pick(DUMP_MESSAGES)} do define k1 late"))
+
+    lines = [f"attach {type_name} named {name}" for type_name, name in zip(types, names)]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = pick(("cfg", "cfg", "cfg", "register", "group", "run", "loop"))
+        if kind == "cfg":
+            lines.append(cfg(("k0", "k1")))
+        elif kind == "register" and scriptgens:
+            lines.append(f"cfg {pick(scriptgens)} register {pick(types)}")
+        elif kind == "group":
+            lines.append("framework group g0 " + " ".join(draw(st.lists(
+                st.sampled_from(DUMP_MESSAGES[:3]), min_size=1, max_size=3))))
+        elif kind == "run":
+            lines.append("framework run " + " ".join(draw(st.lists(
+                st.sampled_from(DUMP_MESSAGES), min_size=1, max_size=3))))
+        elif kind == "loop":
+            body = [cfg(("k0", "k$(i)")) for _ in range(pick((1, 2)))]
+            lines += ["loop i 1 2", *body, "endloop"]
+    return "\n".join(lines) + "\n"
+
+
+def sourced_state(cfg):
+    """What a dump must carry over for ``cfg``: its delegate and, per key,
+    its resolved value or the error resolving it raises."""
+    return cfg.identifier, cfg.delegate, {key: outcome(lambda: cfg.resolve_value(key))
+                                          for key in list(cfg.store)}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(dump_scripts())
+# the later of two registrations of one type wins, so they are dumped in registration order
+@example("attach ScriptGen named c0\nattach ScriptGen named c1\nattach Step named c2\n"
+         "cfg c1 register Step\ncfg c0 register Step\n")
+# an addreq of a scriptgen that a later registration implies keeps its place after the dump
+@example("attach HelloWorldScriptGen named G\nattach Fork\nattach Step named S\n"
+         "cfg S addreq Fork\ncfg S addreq HelloWorldScriptGen named G\ncfg G register Step\n")
+def test_a_dump_sources_back_to_the_state_it_records(script):
+    original = make_linker()
+    try:
+        execute_script(original, script)
+    except RunjobError:
+        pass  # the state the script reached before its error is dumped
+    dump = original.dump_state()
+    replay = make_linker()
+    execute_script(replay, dump)
+    assert replay.dump_state() == dump, script
+    assert ([sourced_state(cfg) for cfg in replay.configurators]
+            == [sourced_state(cfg) for cfg in original.configurators]), script

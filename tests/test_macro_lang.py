@@ -1,6 +1,7 @@
 """Macro language: tokenizer, directive parsing, loops, sourcing, fail-fast."""
 
 import gc
+import itertools
 import random
 import re
 import tracemalloc
@@ -494,6 +495,38 @@ def test_one_pass_parser_matches_the_recursive_parser(seed, mutations, dangling)
     text = "\n".join(lines) + (" \\\n" if dangling else "\n")
     assert parse_outcome(lambda: parse_script(text, "m.mac")) == parse_outcome(
         lambda: reference_parse_block(list(tokenize(text, "m.mac")), "m.mac")), text
+
+
+def mutated_loop_script(seed, mutations, dangling):
+    """A ``random_loop_script`` with ``PARSER_MUTATIONS`` applied, ending
+    in a dangling continuation if ``dangling``."""
+    lines = "\n".join(random_loop_script(random.Random(seed))).split("\n")
+    for position, mutation in mutations:
+        index = position % (len(lines) + 1)
+        if mutation is not None:
+            lines.insert(index, mutation)
+        elif index < len(lines):
+            del lines[index]
+    return "\n".join(lines) + (" \\\n" if dangling else "\n")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(0, 10**6),
+       st.lists(st.tuples(st.integers(0, 100), st.sampled_from(PARSER_MUTATIONS)), max_size=4),
+       st.sampled_from([False, False, False, True]),
+       st.lists(st.integers(1, 5), min_size=1, max_size=4))
+def test_push_parser_matches_a_parse_of_the_text_fed_so_far(seed, mutations, dangling, runs):
+    physical = mutated_loop_script(seed, mutations, dangling).splitlines(keepends=True)
+    for sizes in ([1], runs):  # one physical line per feed, then runs of whole lines
+        parser, fed = macro_lang.Parser("m.mac"), 0
+        for size in itertools.cycle(sizes):
+            if fed == len(physical):
+                break
+            parser.feed("".join(physical[fed:fed + size]))
+            fed = min(fed + size, len(physical))
+            expected = parse_outcome(lambda: parse_script("".join(physical[:fed]), "m.mac"))
+            assert parse_outcome(parser.finish) == expected, (sizes, physical[:fed])
+            assert parse_outcome(parser.finish) == expected  # finishing changes nothing
 
 
 def test_a_deep_nest_parses_in_one_pass():
