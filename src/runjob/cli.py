@@ -152,12 +152,15 @@ def materialize_outputs(linker: Linker, target: str) -> list[Path]:
     return paths
 
 
-def print_run_reports(linker: Linker, out) -> None:
-    """Write, then clear, the results of every Fork's last RunJob."""
+def print_run_reports(linker: Linker, out, lead: str = "") -> None:
+    """Clear, then write after ``lead`` in one write, the results of every
+    Fork's last RunJob; a write that fails leaves none to print later."""
+    reports = [lead]
     for cfg in linker.configurators:
         if isinstance(cfg, Fork):
-            out.write("".join(result.report() for result in cfg.results))
+            reports += [result.report() for result in cfg.results]
             cfg.results = []
+    out.write("".join(reports))
 
 
 def wait_for_jobs(linker: Linker) -> None:
@@ -177,10 +180,10 @@ builtins:   dump        print the declarative state dump
 
 
 def repl(linker: Linker, input_stream=None, output=None) -> None:
-    """Line-oriented interactive session; errors are printed, not fatal.
-    Each line read is fed to the parser that reads scripts, and its entry
-    runs once the parser holds it complete; an entry still incomplete when
-    input ends is reported as that error."""
+    """Line-oriented interactive session; errors, and output ``output``
+    cannot encode, are printed as ``error:`` lines.  Each line read is fed
+    to the parser that reads scripts; its entry runs once complete, and an
+    entry that input ends inside is reported as that error."""
     stream = input_stream if input_stream is not None else sys.stdin
     out = output if output is not None else sys.stdout
     interactive = input_stream is None and stream.isatty()
@@ -196,22 +199,25 @@ def repl(linker: Linker, input_stream=None, output=None) -> None:
         command = None if parser.lineno else raw.strip()
         if command in ("quit", "exit"):
             break
-        if command == "help":
-            out.write(REPL_HELP)
-        elif command == "dump":
-            out.write(linker.dump_state())
-        else:
-            parser.feed(raw)
-            try:
-                directives = parser.finish()
-            except IncompleteInput:
-                prompt("... ")
-                continue
-            except RunjobError as exc:
-                out.write(f"error: {exc}\n")
+        try:
+            if command == "help":
+                out.write(REPL_HELP)
+            elif command == "dump":
+                out.write(linker.dump_state())
             else:
-                _run_entry(linker, directives, out)
-            parser = Parser()
+                parser.feed(raw)
+                try:
+                    directives = parser.finish()
+                except IncompleteInput:
+                    prompt("... ")
+                    continue
+                except RunjobError as exc:
+                    out.write(f"error: {exc}\n")
+                else:
+                    _run_entry(linker, directives, out)
+        except UnicodeEncodeError as exc:  # output the terminal cannot encode; exc's text is ASCII
+            out.write(f"error: {exc}\n")
+        parser = Parser()
         prompt("runjob> ")
     try:
         parser.finish()  # raises for an entry that input ended inside
@@ -226,9 +232,9 @@ def _run_entry(linker: Linker, directives, out) -> None:
     interpreter = MacroInterpreter(linker)
     try:
         interpreter.run_directives(directives, None)
-        for record in interpreter.dispatches:
-            out.write(f"{record.message} {record.description.identifier}: {record.outcome}\n")
-        print_run_reports(linker, out)
+        print_run_reports(linker, out, "".join(
+            f"{record.message} {record.description.identifier}: {record.outcome}\n"
+            for record in interpreter.dispatches))
     except (RunjobError, OSError) as exc:
         out.write(f"error: {exc}\n")
 

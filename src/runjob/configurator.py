@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import sys
 from functools import partial
+from types import MappingProxyType
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
@@ -138,6 +139,12 @@ class Requirement(NamedTuple):
     auto: bool = False  # implied by a scriptgen registration; not dumped
 
 
+def registration_requirements(pattern: DependencyPattern) -> MappingProxyType:
+    """A registration's implied requirement as the read-only {pattern: requirement}
+    that the configurators it delegates share, each until it writes its own."""
+    return MappingProxyType({pattern: Requirement(pattern, auto=True)})
+
+
 class ValueExpression(NamedTuple):
     """Right-hand side of a define: literal text, a cross-namespace reference,
     a synonym-table lookup, or a registered construct function."""
@@ -244,8 +251,8 @@ class Configurator:
         self._linker = None
 
     def _writable(self, name: str) -> dict:
-        if getattr(self, name) is NO_ENTRIES:
-            setattr(self, name, {})
+        if type(getattr(self, name)) is MappingProxyType:  # NO_ENTRIES, or a registration's
+            setattr(self, name, dict(getattr(self, name)))
         return getattr(self, name)
 
     @property
@@ -337,7 +344,8 @@ class Configurator:
                 f"{self.identifier}: no construct function registered for {key!r}")
         self._writable("_definitions").pop(key, None)
         self.add_item(key)
-        self._definitions[key] = _Definition(expression)
+        # a declared key is filed under the class's string, which every instance shares
+        self._definitions[sys.intern(key) if key in self.SCHEMA else key] = _Definition(expression)
         advance_epoch()
 
     def _evaluate_expression(self, key: str, expression: ValueExpression) -> str:
@@ -357,15 +365,21 @@ class Configurator:
                 f"{self.identifier}: cannot resolve {expression.text!r} without a linker")
         return self._linker.lookup_parameter(self.description, identifier, remote_key)
 
-    def add_requirement(self, pattern: DependencyPattern | Requirement, auto=False) -> Requirement:
-        """Record a dependency, or share a given Requirement; strict linkers check it."""
-        requirement = pattern if isinstance(pattern, Requirement) else Requirement(pattern, auto)
+    def add_requirement(self, pattern: DependencyPattern | MappingProxyType,
+                        auto=False) -> Requirement:
+        """Record a dependency, or share what ``registration_requirements`` made
+        while this configurator has none of its own; strict linkers check it."""
+        shared = pattern if type(pattern) is MappingProxyType else None
+        requirement = next(iter(shared.values())) if shared else Requirement(pattern, auto)
         pattern = requirement.pattern
         existing = self._requirements.get(pattern)
         if existing is not None and (requirement.auto or not existing.auto):
             return existing  # only an explicit addreq outranks a registration-implied edge
         if self._linker is not None and self._linker.strict:
             self._linker.require_attached(self, pattern)
+        if shared is not None and self._requirements is NO_ENTRIES:
+            self._requirements = shared
+            return requirement
         # no epoch step: a requirement only widens visibility, and no failure is memoized;
         # an outranking one goes last, where a dump, registering before any addreq, puts it
         self._writable("_requirements").pop(pattern, None)

@@ -14,15 +14,15 @@ from __future__ import annotations
 import os
 from collections import Counter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from .configurator import (
     Configurator,
     ConfiguratorDescription,
     DependencyPattern,
-    Requirement,
     format_identifier,
     parse_identifier,
+    registration_requirements,
 )
 from .errors import (
     AmbiguousIdentifier,
@@ -61,8 +61,8 @@ class Linker:
         self.output_dir = Path(output_dir)
         self.written: set[str] = set()  # the names materialize wrote under output_dir
         self.run_mode = run_mode
-        # (scriptgen, delegator type) to the requirement its delegators share, latest last
-        self._registrations: dict[tuple[Configurator, str], Requirement] = {}
+        # (scriptgen, delegator type) to the requirements its delegators share, latest last
+        self._registrations: dict[tuple[Configurator, str], Mapping] = {}
 
     @property
     def strict(self) -> bool:
@@ -97,9 +97,9 @@ class Linker:
             raise DuplicateIdentifier(f"{key!r} is already attached")
         cfg = factory(description)
         cfg.bind(self)
-        for (scriptgen, delegator_type), requirement in self._registrations.items():
+        for (scriptgen, delegator_type), requirements in self._registrations.items():
             if delegator_type == type_name:
-                self._delegate(cfg, scriptgen, requirement)
+                self._delegate(cfg, scriptgen, requirements)
         self._configurators[key] = cfg
         self._by_description[description] = cfg
         name = description.instance_name
@@ -161,17 +161,17 @@ class Linker:
         if delegator_type not in self._types:
             raise UnknownType(f"unknown configurator type {delegator_type!r}")
         self._registrations.pop((scriptgen, delegator_type), None)
-        requirement = Requirement(DependencyPattern(*scriptgen.description), auto=True)
-        self._registrations[(scriptgen, delegator_type)] = requirement
+        requirements = registration_requirements(DependencyPattern(*scriptgen.description))
+        self._registrations[(scriptgen, delegator_type)] = requirements
         for cfg in self._configurators.values():
             if cfg.description.type_name == delegator_type:
-                self._delegate(cfg, scriptgen, requirement)
+                self._delegate(cfg, scriptgen, requirements)
 
     @staticmethod
-    def _delegate(cfg: Configurator, scriptgen: Configurator, requirement: Requirement) -> None:
-        """Route ``cfg``'s MakeJob to ``scriptgen``, which ``cfg`` needs by ``requirement``."""
+    def _delegate(cfg: Configurator, scriptgen: Configurator, requirements: Mapping) -> None:
+        """Route ``cfg``'s MakeJob to ``scriptgen``, which ``cfg`` needs by ``requirements``."""
         cfg.delegate = scriptgen.description
-        cfg.add_requirement(requirement)
+        cfg.add_requirement(requirements)
 
     # framework
 

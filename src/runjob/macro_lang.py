@@ -14,7 +14,8 @@ Grammar (line oriented, UTF-8, lines end at LF, CRLF or CR):
 
 A trailing backslash joins the next physical line with a single space.
 Tokens are whitespace separated; identifiers follow the configurator
-module's grammar, where ``named`` is reserved in identifier position.
+module's grammar, where ``named`` is reserved in identifier position, and
+an ``attach`` or ``cfg`` line is built straight from its tokens, in one step.
 One push ``Parser`` reads scripts, checks and REPL lines alike, folding each
 ``loop ... endloop`` into a ``Loop`` holding its body's directives; each
 iteration substitutes its integer value into copies of them.  A ``Cfg``
@@ -23,7 +24,8 @@ interned, so the lines and configurators naming one type share one string.
 Text that ends inside a loop or a continuation is ``IncompleteInput``: the
 REPL then reads another line.  A file is parsed whole, then run fail-fast,
 dropping each directive once run: the first error aborts with file:line
-context, leaving earlier directives applied.  Checking runs it without a linker.
+context, leaving earlier directives applied.  A check runs it without a
+linker, visiting only its sources and loops.
 """
 
 from __future__ import annotations
@@ -32,11 +34,10 @@ from pathlib import Path
 from sys import intern
 from typing import Iterable, Iterator
 
-from .configurator import format_identifier, parse_identifier, split_identifier
+from .configurator import format_identifier
 from .errors import (
     DanglingContinuation,
     IncompleteInput,
-    MacroParseError,
     ParseError,
     RecursionLimitExceeded,
     RunjobError,
@@ -179,17 +180,18 @@ def parse_directive(line: LogicalLine, filename: str | None = None) -> Directive
         return cls(line.lineno)
     head = tokens[0]
     if head in ("attach", "cfg"):
-        try:
-            if head == "attach":
-                type_name, instance = parse_identifier(tokens[1:])
-                return Attach(line.lineno, intern(type_name), instance)
-            type_name, instance, macro = split_identifier(tokens[1:])
-        except MacroParseError as exc:
-            raise ParseError(exc.message, filename=filename, lineno=line.lineno) from None
-        if not macro:
-            raise ParseError("cfg requires an identifier and a macro",
-                             filename=filename, lineno=line.lineno)
-        return Cfg(line.lineno, intern(type_name), instance, " ".join(macro))
+        named = len(tokens) > 2 and tokens[2] == "named"
+        start = 4 if named else 2  # where a cfg's macro starts
+        if len(tokens) > start if head == "cfg" else len(tokens) == start:
+            instance = tokens[3] if named else None
+            if head == "cfg":
+                return Cfg(line.lineno, intern(tokens[1]), instance, " ".join(tokens[start:]))
+            return Attach(line.lineno, intern(tokens[1]), instance)
+        if head == "cfg" and len(tokens) == start:
+            message = "cfg requires an identifier and a macro"
+        else:
+            message = "malformed configurator identifier: " + (" ".join(tokens[1:]) or "<empty>")
+        raise ParseError(message, filename=filename, lineno=line.lineno)
     if head == "framework":
         if len(tokens) >= 3 and tokens[1] == "run":
             return FrameworkRun(line.lineno, tokens[2:])
@@ -386,9 +388,12 @@ class MacroInterpreter:
         name = str(path) if path.is_file() else "<stdin>"  # a pipe sources from the cwd
         if path in self._source_stack:
             raise SourceCycle(f"{name} is already being sourced", filename=name)
+        directives = parse_script(text, name)
+        if self.linker is None:  # a check acts on sources and loops alone
+            directives = [d for d in directives if isinstance(d, (Source, Loop))]
         self._source_stack.append(path)
         try:
-            self.run_directives(_consumed(parse_script(text, name)), name)
+            self.run_directives(_consumed(directives), name)
         finally:
             self._source_stack.pop()
 
@@ -409,8 +414,8 @@ class MacroInterpreter:
             self.run_file(Path(filename or "").parent / directive.path)
         elif self.linker is None:  # a loop body is checked once; a per-iteration source is not
             if isinstance(directive, Loop):
-                self.run_directives([d for d in directive.body
-                                     if not (isinstance(d, Source) and "$(" in d.path)], filename)
+                self.run_directives([d for d in directive.body if isinstance(d, Loop)
+                                     or isinstance(d, Source) and "$(" not in d.path], filename)
         elif isinstance(directive, Attach):
             self.linker.attach(directive.type_name, directive.instance_name)
         elif isinstance(directive, Cfg):

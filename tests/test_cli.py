@@ -236,6 +236,49 @@ class TestRunCommand:
         composite = tmp_path / "out" / "composite_HelloWorldScriptGen.sh"
         assert '"echo" hé x\ufffd\n'.encode() in composite.read_bytes()
 
+    def test_repl_goes_on_after_output_it_cannot_encode(self, tmp_path):
+        # the job prints "hé", and so do the dump and an error message
+        session = ("attach ScriptGen\n"
+                   "cfg ScriptGen register Step\n"
+                   "attach Step named A\n"
+                   "cfg Step named A define Executable echo\n"
+                   "cfg Step named A define Args hé\n"
+                   "attach Fork\n"
+                   "cfg Fork define ScriptGenName ScriptGen\n"
+                   "cfg Fork define ExecutableList ::construct\n"
+                   "framework run Reset MakeJob MakeScript RunJob\n"
+                   "attach HelloWorld named After\n"
+                   "dump\n"
+                   "hé\n"
+                   "framework run Reset\n")
+        finished = runjob_under_ascii_locale("repl", "--out", tmp_path / "out", cwd=tmp_path,
+                                             stdin=session.encode())
+        assert finished.returncode == 0, finished.stderr
+        assert finished.stderr == b""
+        out = finished.stdout.decode("ascii")
+        assert out.count("error: 'ascii' codec can't encode character '\\xe9'") == 3, out
+        assert "Reset HelloWorld named After: Handled\n" in out.split("error:")[-1]
+
+    def test_repl_prints_no_stale_report_after_dispatches_it_cannot_encode(self, tmp_path):
+        # "Reset Step named hé" cannot be written, nor then the RunJob's report
+        session = ("attach ScriptGen\n"
+                   "cfg ScriptGen register Step\n"
+                   "attach Step named hé\n"
+                   "cfg Step named hé define Executable echo\n"
+                   "cfg Step named hé define Args ran-once\n"
+                   "attach Fork\n"
+                   "cfg Fork define ScriptGenName ScriptGen\n"
+                   "cfg Fork define ExecutableList ::construct\n"
+                   "framework run Reset MakeJob MakeScript RunJob\n"
+                   "attach HelloWorld named After\n"
+                   "framework run MakeJob\n")
+        finished = runjob_under_ascii_locale("repl", "--out", tmp_path / "out", cwd=tmp_path,
+                                             stdin=session.encode())
+        assert finished.returncode == 0, finished.stderr
+        out = finished.stdout.decode("ascii")
+        assert out.count("error: 'ascii' codec can't encode character '\\xe9'") == 2, out
+        assert "ran-once" not in out
+
     def test_foreground_job_output_is_decoded_as_utf8_under_an_ascii_locale(self, tmp_path):
         # the job prints UTF-8 text and a byte that is not UTF-8; the locale's
         # ASCII encoding must not be used to read either back

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from runjob import make_linker
+from runjob import execute_script, make_linker
+from runjob.builtins import HelloWorld
 from runjob.configurator import (
     Configurator,
     ConfiguratorDescription,
@@ -292,6 +293,36 @@ class TestContainers:
         pattern = DependencyPattern("HelloWorldScriptGen", "HelloWorldScriptGen")
         assert first.requirements == (Requirement(pattern, auto=True),)
         assert first.requirements[0] is second.requirements[0]
+
+    def test_delegated_configurators_share_one_mapping_until_one_adds_its_own(self, linker,
+                                                                              tmp_path):
+        script = ("attach ScriptGen\n"
+                  "attach Fork\n"
+                  "attach Step named A\n"  # delegated by the registration
+                  "cfg ScriptGen register Step\n"
+                  "attach Step named B\n"  # delegated on attach
+                  "attach Step named C\n"
+                  "cfg Step named A addreq Fork\n")
+        execute_script(linker, script)
+        first, *others = (linker.find(f"Step named {name}") for name in "ABC")
+        assert all(cfg._requirements is others[0]._requirements for cfg in others)
+        registration = Requirement(DependencyPattern("ScriptGen", "ScriptGen"), auto=True)
+        assert others[0].requirements == (registration,)
+        assert first.requirements == (registration, Requirement(DependencyPattern("Fork")))
+        dump = linker.dump_state()
+        replay = make_linker(output_dir=tmp_path / "replay")
+        execute_script(replay, dump)
+        assert replay.dump_state() == dump
+
+    def test_a_lazy_define_of_a_declared_key_keeps_the_class_string(self, linker):
+        linker.attach("HelloWorldScriptGen")
+        first, second = (linker.find(linker.attach("HelloWorld", name)) for name in ("a", "b"))
+        for cfg in (first, second):
+            cfg.apply_macro("define HelloMessage ::HelloWorldScriptGen:English")
+            cfg.apply_macro("define Extra ::HelloWorldScriptGen:English")  # not declared
+        (declared,) = (key for key in HelloWorld.SCHEMA if key == "HelloMessage")
+        assert [key for key in first._definitions] == ["HelloMessage", "Extra"]
+        assert all(next(iter(cfg._definitions)) is declared for cfg in (first, second))
 
     def test_a_written_container_is_the_configurators_own(self, linker):
         first, second = (linker.find(linker.attach("HelloWorld", name)) for name in ("a", "b"))

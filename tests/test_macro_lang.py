@@ -6,15 +6,18 @@ import random
 import re
 import tracemalloc
 import weakref
+from sys import intern
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from runjob import Configurator, execute_script, make_linker, macro_lang, parse_script, tokenize
+from runjob.configurator import parse_identifier, split_identifier
 from runjob.errors import (
     DanglingContinuation,
     IncompleteInput,
+    MacroParseError,
     ParseError,
     SourceCycle,
     UnknownConfigurator,
@@ -169,6 +172,64 @@ class TestParseDirective:
             parse_script("attach Fork\nmystery\n", "bad.mac")
         assert err.value.lineno == 2
         assert err.value.filename == "bad.mac"
+
+
+def reference_parse_directive(line, filename=None):
+    """``parse_directive`` as it was before ``attach`` and ``cfg`` lines were
+    built straight from their tokens: each went through ``split_identifier``."""
+    tokens = line.tokens
+    if not tokens or tokens[0] not in ("attach", "cfg"):
+        return parse_directive(line, filename)
+    try:
+        if tokens[0] == "attach":
+            type_name, instance = parse_identifier(tokens[1:])
+            return Attach(line.lineno, type_name, instance)
+        type_name, instance, macro = split_identifier(tokens[1:])
+    except MacroParseError as exc:
+        raise ParseError(exc.message, filename=filename, lineno=line.lineno) from None
+    if not macro:
+        raise ParseError("cfg requires an identifier and a macro",
+                         filename=filename, lineno=line.lineno)
+    return Cfg(line.lineno, type_name, instance, " ".join(macro))
+
+
+def directive_outcome(parse, tokens):
+    try:
+        directive = parse(LogicalLine(3, list(tokens)), "d.mac")
+    except ParseError as exc:
+        return type(exc).__name__, exc.message, exc.filename, exc.lineno
+    return type(directive).__name__, vars(directive)
+
+
+DIRECTIVE_WORDS = ["cfg", "attach", "named", "Step", "HelloWorld", "define", "$(i)", "::X:y"]
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(st.lists(st.sampled_from(DIRECTIVE_WORDS), min_size=1, max_size=7))
+@example(["cfg", "Step", "named"])
+@example(["cfg", "Step", "named", "A"])
+@example(["cfg", "named", "named", "X", "y"])
+@example(["attach", "Step", "named", "A", "define"])
+def test_parse_directive_matches_a_parse_through_split_identifier(tokens):
+    outcome = directive_outcome(parse_directive, tokens)
+    assert outcome == directive_outcome(reference_parse_directive, tokens)
+    if outcome[0] in ("Attach", "Cfg"):  # one string per type name
+        assert intern(outcome[1]["type_name"]) is outcome[1]["type_name"]
+
+
+def test_plain_attach_and_cfg_lines_skip_the_identifier_parser(monkeypatch):
+    # counted, not timed: the four shapes that split_identifier cannot reject
+    def refuse(tokens):
+        raise AssertionError(f"identifier parser called on {tokens}")
+
+    monkeypatch.setattr("runjob.configurator.split_identifier", refuse)
+    monkeypatch.setattr("runjob.configurator.parse_identifier", refuse)
+    shapes = ["attach Step", "attach Step named s{0}", "cfg Step define Args a{0}",
+              "cfg Step named s{0} define Args a{0}"]
+    text = "".join(shapes[n % 4].format(n) + "\n" for n in range(1000))
+    directives = parse_script(text)
+    assert [type(d) for d in directives] == [Attach, Attach, Cfg, Cfg] * 250
+    assert directives[-1].describe() == "cfg Step named s999 :: define Args a999"
 
 
 class TestLoops:
@@ -720,3 +781,12 @@ class TestExecution:
     def test_check_does_not_execute(self, linker, fixtures):
         check_script(fixtures / "helloworld.mac")
         assert linker.configurators == []
+
+    def test_check_visits_only_sources_and_loops(self, fixtures, monkeypatch):
+        # counted, not timed: helloworld.mac holds neither
+        calls = []
+        execute = MacroInterpreter.execute
+        monkeypatch.setattr(MacroInterpreter, "execute",
+                            lambda *args: calls.append(args) or execute(*args))
+        check_script(fixtures / "helloworld.mac")
+        assert calls == []
