@@ -24,8 +24,9 @@ interned, so the lines and configurators naming one type share one string.
 Text that ends inside a loop or a continuation is ``IncompleteInput``: the
 REPL then reads another line.  A file is parsed whole, then run fail-fast,
 dropping each directive once run: the first error aborts with file:line
-context, leaving earlier directives applied.  A check runs it without a
-linker, visiting only its sources and loops.
+context, leaving earlier directives applied.  A check parses with the same
+shape tests and errors but builds only the sources and loops, which it then
+visits without a linker.
 """
 
 from __future__ import annotations
@@ -172,17 +173,20 @@ class Loop(Directive):
         return f"loop {self.var} {self.start} {self.stop} body={len(self.body)}"
 
 
-def parse_directive(line: LogicalLine, filename: str | None = None) -> Directive:
-    """Parse one non-loop logical line into a directive."""
+def parse_directive(line: LogicalLine, filename: str | None = None,
+                    check: bool = False) -> Directive | None:
+    """Parse one non-loop logical line into a directive.  With ``check``, test
+    its shape alone: only a ``Source`` is built, any other line gives None."""
     tokens = line.tokens
     if not tokens:
-        cls = Comment if line.comment else Blank
-        return cls(line.lineno)
+        return None if check else (Comment if line.comment else Blank)(line.lineno)
     head = tokens[0]
     if head in ("attach", "cfg"):
         named = len(tokens) > 2 and tokens[2] == "named"
         start = 4 if named else 2  # where a cfg's macro starts
         if len(tokens) > start if head == "cfg" else len(tokens) == start:
+            if check:
+                return None
             instance = tokens[3] if named else None
             if head == "cfg":
                 return Cfg(line.lineno, intern(tokens[1]), instance, " ".join(tokens[start:]))
@@ -194,9 +198,9 @@ def parse_directive(line: LogicalLine, filename: str | None = None) -> Directive
         raise ParseError(message, filename=filename, lineno=line.lineno)
     if head == "framework":
         if len(tokens) >= 3 and tokens[1] == "run":
-            return FrameworkRun(line.lineno, tokens[2:])
+            return None if check else FrameworkRun(line.lineno, tokens[2:])
         if len(tokens) >= 4 and tokens[1] == "group":
-            return FrameworkGroup(line.lineno, tokens[2], tokens[3:])
+            return None if check else FrameworkGroup(line.lineno, tokens[2], tokens[3:])
         raise ParseError("usage: framework run <messages> | framework group <name> <messages>",
                          filename=filename, lineno=line.lineno)
     if head == "source":
@@ -236,10 +240,12 @@ def _loop_bound(bound: str, lineno: int, filename, loop_vars: Iterable[str] = ()
 class Parser:
     """A push parser: ``feed`` it whole lines of text, and ``finish`` gives
     what one parse of all of it would.  Between feeds it keeps the open
-    continued line, the open loops and the first ParseError."""
+    continued line, the open loops and the first ParseError.  A parser made
+    to ``check`` keeps only sources and loops (see :func:`parse_directive`)."""
 
-    def __init__(self, filename: str | None = None):
+    def __init__(self, filename: str | None = None, check: bool = False):
         self.filename = filename
+        self.check = check
         self.lineno = 0  # physical lines read
         self._continued: LogicalLine | None = None  # the logical line a backslash keeps open
         self._into = self.directives = []  # the list the next directive joins; the top level
@@ -270,6 +276,7 @@ class Parser:
         """Fold logical lines into directives, each loop...endloop into a ``Loop``
         holding its body's; after the first error only count the loops."""
         into, open_loops, filename, error = self._into, self._open, self.filename, self._error
+        check = self.check
         for line in lines:
             head = line.tokens[0] if line.tokens else None
             try:
@@ -282,8 +289,10 @@ class Parser:
                     if error is None:
                         into.append(_parse_loop_header(line, filename, open_loops))
                         into = into[-1].body
-                elif error is None:
+                elif error is None and not check:
                     into.append(parse_directive(line, filename))
+                elif error is None and (source := parse_directive(line, filename, check=True)):
+                    into.append(source)
             except ParseError as exc:
                 error = self._error = exc
             if error is not None and not open_loops:
@@ -305,15 +314,16 @@ class Parser:
         return self.directives
 
 
-def parse_block(lines: Iterable[LogicalLine], filename: str | None = None) -> list[Directive]:
+def parse_block(lines: Iterable[LogicalLine], filename: str | None = None,
+                check: bool = False) -> list[Directive]:
     """Parse logical lines, in one pass, into directives (see :meth:`Parser.finish`)."""
-    parser = Parser(filename)
+    parser = Parser(filename, check)
     parser.fold(lines)
     return parser.finish()
 
 
-def parse_script(text: str, filename: str | None = None) -> list[Directive]:
-    return parse_block(tokenize(text, filename), filename)
+def parse_script(text: str, filename: str | None = None, check: bool = False) -> list[Directive]:
+    return parse_block(tokenize(text, filename), filename, check)
 
 
 def substitution_plan(directives: list[Directive], var: str) -> list[list[tuple]]:
@@ -373,8 +383,9 @@ def substitute_block(directives: list[Directive], var: str, value: str,
 class MacroInterpreter:
     """Executes directives against a linker, tracking source-file nesting.
 
-    Without a linker it only checks: sourced files are parsed in turn and
-    source cycles detected, but nothing executes and a loop body is walked once.
+    Without a linker it only checks: a file is parsed keeping only its sources
+    and loops, sourced files are checked in turn and source cycles detected,
+    but nothing executes and a loop body is walked once.
     """
 
     def __init__(self, linker=None):
@@ -388,9 +399,7 @@ class MacroInterpreter:
         name = str(path) if path.is_file() else "<stdin>"  # a pipe sources from the cwd
         if path in self._source_stack:
             raise SourceCycle(f"{name} is already being sourced", filename=name)
-        directives = parse_script(text, name)
-        if self.linker is None:  # a check acts on sources and loops alone
-            directives = [d for d in directives if isinstance(d, (Source, Loop))]
+        directives = parse_script(text, name, check=self.linker is None)
         self._source_stack.append(path)
         try:
             self.run_directives(_consumed(directives), name)
@@ -413,9 +422,8 @@ class MacroInterpreter:
         if isinstance(directive, Source):  # relative to the sourcing file
             self.run_file(Path(filename or "").parent / directive.path)
         elif self.linker is None:  # a loop body is checked once; a per-iteration source is not
-            if isinstance(directive, Loop):
-                self.run_directives([d for d in directive.body if isinstance(d, Loop)
-                                     or isinstance(d, Source) and "$(" not in d.path], filename)
+            self.run_directives([d for d in directive.body
+                                 if not isinstance(d, Source) or "$(" not in d.path], filename)
         elif isinstance(directive, Attach):
             self.linker.attach(directive.type_name, directive.instance_name)
         elif isinstance(directive, Cfg):

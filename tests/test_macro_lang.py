@@ -1,5 +1,6 @@
 """Macro language: tokenizer, directive parsing, loops, sourcing, fail-fast."""
 
+import collections
 import gc
 import itertools
 import random
@@ -24,7 +25,10 @@ from runjob.errors import (
 )
 from runjob.macro_lang import (
     Attach,
+    Blank,
     Cfg,
+    Comment,
+    FrameworkGroup,
     FrameworkRun,
     LogicalLine,
     Loop,
@@ -559,8 +563,8 @@ def test_one_pass_parser_matches_the_recursive_parser(seed, mutations, dangling)
 
 
 def mutated_loop_script(seed, mutations, dangling):
-    """A ``random_loop_script`` with ``PARSER_MUTATIONS`` applied, ending
-    in a dangling continuation if ``dangling``."""
+    """A ``random_loop_script`` with mutations (lines of ``PARSER_MUTATIONS``
+    or ``CHECK_MUTATIONS``) applied, ending in a dangling continuation if ``dangling``."""
     lines = "\n".join(random_loop_script(random.Random(seed))).split("\n")
     for position, mutation in mutations:
         index = position % (len(lines) + 1)
@@ -588,6 +592,34 @@ def test_push_parser_matches_a_parse_of_the_text_fed_so_far(seed, mutations, dan
             expected = parse_outcome(lambda: parse_script("".join(physical[:fed]), "m.mac"))
             assert parse_outcome(parser.finish) == expected, (sizes, physical[:fed])
             assert parse_outcome(parser.finish) == expected  # finishing changes nothing
+
+
+# besides PARSER_MUTATIONS: sources, fixed and per iteration, and a malformed
+# line of each shape that a check does not build
+CHECK_MUTATIONS = [*PARSER_MUTATIONS, "source p$(i).mac", "source x.mac", "source a b", "source",
+                   "cfg Step", "cfg Step named s", "cfg", "attach T x", "attach T named",
+                   "attach", "framework run", "framework group g", "framework"]
+
+
+def sources_and_loops(tree):
+    """``tree`` (a ``directive_tree``) with only its sources and loops, loop bodies in turn."""
+    return [(name, {**fields, "body": sources_and_loops(fields["body"])} if name == "Loop"
+             else fields)
+            for name, fields in tree if name in ("Source", "Loop")]
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.integers(0, 10**6),
+       st.lists(st.tuples(st.integers(0, 100), st.sampled_from(CHECK_MUTATIONS)), max_size=4),
+       st.sampled_from([False, False, False, True]))
+@example(0, [(0, "cfg Step")], False)
+@example(0, [(0, "source x.mac"), (0, "attach T")], False)
+def test_a_check_parse_is_the_run_parse_keeping_sources_and_loops(seed, mutations, dangling):
+    text = mutated_loop_script(seed, mutations, dangling)
+    expected = parse_outcome(lambda: parse_script(text, "m.mac"))
+    if isinstance(expected, list):
+        expected = sources_and_loops(expected)
+    assert parse_outcome(lambda: parse_script(text, "m.mac", check=True)) == expected, text
 
 
 def test_a_deep_nest_parses_in_one_pass():
@@ -672,6 +704,28 @@ def test_sourcing_a_dump_peaks_near_the_state_it_leaves(tmp_path):
         tracemalloc.stop()
     assert linker.dump_state() == dump
     assert peak - before <= 1.1 * (current - before), (current - before, peak - before)
+
+
+def test_checking_a_dump_peaks_under_three_times_its_size(tmp_path):
+    # A check builds only sources and loops, so what it holds at its peak is
+    # about the file's bytes and their decoded text.  On CPython 3.11 this
+    # 16,007-line dump peaks at 2.0 times its size; building a directive
+    # for every line put the peak at 5.0 times.
+    planned = make_linker(output_dir=tmp_path)
+    execute_script(planned, LOOP_SHELL.format(n=4000))
+    script = tmp_path / "dump.mac"
+    script.write_text(planned.dump_state())
+    del planned
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        check_script(script)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    size = script.stat().st_size
+    assert peak < 3 * size, (peak, size)
 
 
 @pytest.mark.parametrize("run", ["execute_script", "execute_file"])
@@ -790,3 +844,18 @@ class TestExecution:
                             lambda *args: calls.append(args) or execute(*args))
         check_script(fixtures / "helloworld.mac")
         assert calls == []
+
+    @pytest.mark.parametrize("name", ["chain.mac", "helloworld.mac"])
+    def test_check_builds_no_directive_it_does_not_visit(self, fixtures, monkeypatch, name):
+        # counted through each class's __init__, so a directive built and then dropped shows
+        built = collections.Counter()
+        for cls in (Attach, Cfg, FrameworkRun, FrameworkGroup, Blank, Comment):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                built[type(self).__name__] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        parse_script((fixtures / name).read_text())
+        assert built["Attach"] and built["Cfg"] and built["Blank"]  # the count sees a run parse
+        built.clear()
+        check_script(fixtures / name)
+        assert built == {}
