@@ -3,19 +3,18 @@
 Exit codes: 0 success, 1 script/runtime error (message carries file:line
 when known), 2 usage error.
 
-The parser is built once, by the first :func:`main` call, and ``RUNJOB_LENIENT_DEPS``
-is read per call.  ``run`` holds the collector's first threshold at
-:data:`RUN_GC_THRESHOLD` until it returns; the REPL and library calls do not.
+``RUNJOB_LENIENT_DEPS`` is read per call, and ``run`` holds the collector's first
+threshold at :data:`RUN_GC_THRESHOLD` until it returns; the REPL and library calls do not.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
+import contextlib
 import gc
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .builtins import RUN_MODES, Fork, make_linker
 from .errors import IncompleteInput, RunjobError
@@ -23,63 +22,99 @@ from .linker import Linker, cannot_write, write_atomically
 from .macro_lang import MacroInterpreter, Parser, check_script, execute_file
 from .scriptgen import DAG_FILENAME, build_dag
 
-DEFAULT_FRAMEWORK = ("Reset", "MakeJob", "MakeScript", "RunJob")
+DEFAULT_FRAMEWORK = "Reset MakeJob MakeScript RunJob"
 LENIENT_ENV_VAR = "RUNJOB_LENIENT_DEPS"
 # a plan frees few of the objects it builds, so young collections would rescan them
 RUN_GC_THRESHOLD = 200_000
+DISCARD = SimpleNamespace(write=len, flush=lambda: None)  # a closed stdout: output is dropped
+
+# flag: (destination, its default, the constant the flag stores, the metavar or choices of
+# the value it takes, help); no flag is a prefix of another
+_COMMON = {
+    "--help": (None, None, None, None, "print this help and exit"),
+    "--out": ("out", ".", None, "DIR", "output directory for materialized artifacts"),
+    "--lenient-deps": ("lenient_deps", False, True, None, "disable dependency checking and "
+                       f"namespace visibility rules (also via {LENIENT_ENV_VAR}=1)"),
+    "--run-mode": ("run_mode", "foreground", None, RUN_MODES, "how Fork launches jobs"),
+    "--background": ("run_mode", "foreground", "background", None, "as --run-mode background")}
+OPTIONS = {"repl": _COMMON, "run": {
+    **_COMMON,
+    "--target": ("target", "shell", None, ("shell", "dag"),
+                 "write shell composites, or a DAG plus per-job scripts"),
+    "--check": ("check", False, True, None, "parse the script and what it sources; run nothing"),
+    "--dump": ("dump", None, None, "PATH", "write the declarative state dump ('-' for stdout)"),
+    "--resolve": ("resolve", False, True, None, "snapshot lazy definitions to literals in it"),
+    "--framework": ("framework", DEFAULT_FRAMEWORK, None, "MESSAGES",
+                    "framework messages to run after the script"),
+    "--no-framework": ("framework", DEFAULT_FRAMEWORK, "", None, "run no framework messages")}}
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="runjob",
-        description="Plan workflows from macro scripts and compile them into "
-                    "shell composites or DAG files.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read ``argv`` as a command, then its :data:`OPTIONS` and operands in any order up
+    to ``--``.  An unknown option or operand is reported last, after any ``-h``."""
+    command, values, operands, unknown, options = None, {}, [], None, True
+    table, tokens = {"--help": _COMMON["--help"]}, iter(argv)
+    for token in tokens:
+        if options and token == "--":
+            options = False
+        elif options and token[:1] == "-" and token != "-":
+            name, equals, value = token.partition("=")
+            name = "--help" if name == "-h" else name
+            flags = [flag for flag in table if name[:2] == "--" and flag.startswith(name)]
+            if len(flags) > 1:
+                usage_exit(command, f"ambiguous option {name}: could match {', '.join(flags)}")
+            if not flags:
+                unknown = unknown or token
+                continue
+            dest, _, const, takes, _ = table[flags[0]]
+            if takes is None and equals or dest is None:  # help, or a flag given a value
+                usage_exit(command, equals and f"{flags[0]} takes no value: {token}")
+            if takes is not None and not equals:
+                value = next(tokens, None)
+                if value is None or value[:1] == "-" and value != "-":
+                    usage_exit(command, f"{token} needs a value")
+            if isinstance(takes, tuple) and value not in takes:
+                usage_exit(command, f"{flags[0]} {value!r}: choose from {', '.join(takes)}")
+            values[dest] = const if takes is None else value
+        elif command is not None:
+            operands.append(token)
+        elif token in OPTIONS:
+            command, table, options = token, OPTIONS[token], True
+            values = {dest: default for dest, default, *_ in table.values() if dest}
+        else:
+            usage_exit(None, f"unknown command {token!r}")
+    if unknown or command is None:
+        usage_exit(command, f"unknown option {unknown}" if unknown else "no command given")
+    if len(operands) != (command == "run"):
+        usage_exit(command, f"unexpected operand {operands[-1]!r}" if operands else "no SCRIPT")
+    return SimpleNamespace(command=command, **values, **dict(zip(["script"], operands)))
 
-    run = sub.add_parser("run", help="execute a macro script")
-    run.add_argument("script", help="macro script file")
-    _common_flags(run)
-    run.add_argument("--target", choices=("shell", "dag"), default="shell",
-                     help="write shell composites, or a DAG plus per-job scripts")
-    run.add_argument("--check", action="store_true",
-                     help="parse the script (and sourced files) without executing")
-    run.add_argument("--dump", metavar="PATH",
-                     help="write the declarative state dump ('-' for stdout)")
-    run.add_argument("--resolve", action="store_true",
-                     help="snapshot lazy definitions to literals in the dump")
-    run.add_argument("--framework", metavar="MESSAGES",
-                     default=" ".join(DEFAULT_FRAMEWORK),
-                     help="framework messages to run after the script "
-                          "(default: %(default)s)")
-    run.add_argument("--no-framework", dest="framework", action="store_const", const="",
-                     help="do not run any framework messages after the script")
 
-    repl_parser = sub.add_parser("repl", help="interactive directive session")
-    _common_flags(repl_parser)
-    return parser
-
-
-def _common_flags(parser) -> None:
-    parser.add_argument("--out", metavar="DIR", default=".",
-                        help="output directory for materialized artifacts")
-    parser.add_argument("--lenient-deps", action="store_true",
-                        help="disable dependency checking and namespace visibility "
-                             f"rules (also via {LENIENT_ENV_VAR}=1)")
-    parser.add_argument("--run-mode", choices=RUN_MODES, default="foreground")
-    parser.add_argument("--background", dest="run_mode", action="store_const",
-                        const="background", help="shorthand for --run-mode background")
+def usage_exit(command, error: str = ""):
+    """Print ``command``'s help (every command's with None) and exit 0, or with ``error``
+    its usage and ``error`` to standard error and exit 2."""
+    usage = "\n       ".join(f"runjob {name}{' SCRIPT' * (name == 'run')} [options]"
+                               for name in ([command] if command else ("run", "repl")))
+    lines = [f"usage: {usage}", f"runjob: error: {error}" if error else "\noptions:"]
+    for flag, (dest, default, _, takes, text) in [] if error else OPTIONS[command or "run"].items():
+        arg = f" {takes}" if isinstance(takes, str) else " {%s}" % ",".join(takes) if takes else ""
+        only = "(run only) " if command is None and flag not in _COMMON else ""
+        default = f" (default: {default})" if takes and default else ""
+        lines.append(f"  {'-h, ' if dest is None else ''}{flag}{arg}\n      {only}{text}{default}")
+    with contextlib.suppress(OSError):  # a standard stream closed at start-up: exit all the same
+        print(*lines, sep="\n", file=sys.stderr if error else sys.stdout)
+    raise SystemExit(2 if error else 0)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     try:
         if args.command == "repl":
-            sys.stdin.reconfigure(encoding="utf-8", errors="replace")  # whatever the locale
+            if sys.stdin is not None:  # None when the descriptor is closed
+                sys.stdin.reconfigure(encoding="utf-8", errors="replace")  # whatever the locale
             repl(_new_linker(args))
             return 0
         return run_script(args)
@@ -115,9 +150,9 @@ def _run_or_check(args) -> int:
         linker.run_framework(*args.framework.split())
         for path in materialize_outputs(linker, args.target):
             print(f"wrote {path}")
-        print_run_reports(linker, sys.stdout)
+        print_run_reports(linker, sys.stdout or DISCARD)
         if args.dump == "-":
-            sys.stdout.write(linker.dump_state(resolve=args.resolve))
+            (sys.stdout or DISCARD).write(linker.dump_state(resolve=args.resolve))
         elif args.dump is not None:
             if "\0" in args.dump:  # which no file name holds, and os.path.realpath refuses
                 raise cannot_write(Path(args.dump), ValueError("embedded null byte"))
@@ -184,9 +219,9 @@ def repl(linker: Linker, input_stream=None, output=None) -> None:
     cannot encode, are printed as ``error:`` lines.  Each line read is fed
     to the parser that reads scripts; its entry runs once complete, and an
     entry that input ends inside is reported as that error."""
-    stream = input_stream if input_stream is not None else sys.stdin
-    out = output if output is not None else sys.stdout
-    interactive = input_stream is None and stream.isatty()
+    stream = input_stream if input_stream is not None else sys.stdin or ()  # () if closed
+    out = output if output is not None else sys.stdout or DISCARD
+    interactive = stream is sys.stdin and stream.isatty()
 
     def prompt(text: str) -> None:
         if interactive:

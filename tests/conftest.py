@@ -12,8 +12,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPT_VAR = "RUNJOB_INSTALLED_SCRIPT"  # names an installed runjob script to run instead
 
 
-def _run_runjob(*args, cwd=None, stdin=None):
-    """``runjob args`` in a child process, ``stdin`` on its standard input."""
+def _run_runjob(*args, cwd=None, stdin=None, redirect=""):
+    """``runjob args`` in a child process, ``stdin`` on its standard input;
+    a shell applies ``redirect`` (such as ``>&-``) to it before it starts."""
     env = dict(os.environ)
     installed = os.environ.get(SCRIPT_VAR)  # set but empty is an error, not the default
     if installed is not None:
@@ -21,6 +22,8 @@ def _run_runjob(*args, cwd=None, stdin=None):
     else:
         command = [sys.executable, "-m", "runjob"]
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if redirect:
+        command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
     return subprocess.run([*command, *map(str, args)], cwd=cwd, env=env, input=stdin,
                           capture_output=True, encoding="utf-8")
 

@@ -1,5 +1,6 @@
 """CLI behavior: batch runs, check mode, targets, dumps, REPL, exit codes."""
 
+import argparse
 import contextlib
 import gc
 import io
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from runjob import cli, macro_lang, make_linker
+from runjob.builtins import RUN_MODES
 from runjob.cli import LENIENT_ENV_VAR, main, repl
 from runjob.errors import IncompleteInput, RunjobError
 from runjob.macro_lang import MacroInterpreter, parse_script
@@ -903,6 +905,25 @@ def test_planning_loads_no_dataclasses_inspect_or_subprocess(fixtures, tmp_path)
     assert (tmp_path / "composite_HelloWorldScriptGen.sh").exists()
 
 
+def test_the_command_line_loads_no_option_parser(fixtures, tmp_path):
+    # a fresh interpreter; what it holds before the import is the baseline
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = str(fixtures / "helloworld.mac")
+    argvs = [["run", script, "--check"],
+             ["run", script, "--run-mode", "dry-run", "--out", str(tmp_path)], ["run", "-h"]]
+    code = ("import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
+            "import runjob.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [runjob.cli.main(argv) for argv in {argvs!r}]\n"
+            "parsers = {'argparse', 'getopt', 'optparse', 'gettext'}\n"
+            "print(codes, sorted(parsers & (set(sys.modules) - before)))\n")
+    finished = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+    assert finished.returncode == 0, finished.stderr
+    assert finished.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
+
 def write_reference_chain(tmp_path, depth, attach_order) -> Path:
     """Write a chain S0 <- S1 <- ... in which each Step's InputFile references
     its predecessor's, attached (and so asked for its job) in ``attach_order``."""
@@ -1067,12 +1088,162 @@ def test_repl_has_no_target_option(capsys):
     assert "--target" in capsys.readouterr().err
 
 
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser ``runjob`` used before it read its own option table."""
+    parser = argparse.ArgumentParser(
+        prog="runjob",
+        description="Plan workflows from macro scripts and compile them into "
+                    "shell composites or DAG files.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    run = sub.add_parser("run", help="execute a macro script")
+    run.add_argument("script", help="macro script file")
+    reference_common_flags(run)
+    run.add_argument("--target", choices=("shell", "dag"), default="shell",
+                     help="write shell composites, or a DAG plus per-job scripts")
+    run.add_argument("--check", action="store_true",
+                     help="parse the script (and sourced files) without executing")
+    run.add_argument("--dump", metavar="PATH",
+                     help="write the declarative state dump ('-' for stdout)")
+    run.add_argument("--resolve", action="store_true",
+                     help="snapshot lazy definitions to literals in the dump")
+    run.add_argument("--framework", metavar="MESSAGES",
+                     default=cli.DEFAULT_FRAMEWORK,
+                     help="framework messages to run after the script "
+                          "(default: %(default)s)")
+    run.add_argument("--no-framework", dest="framework", action="store_const", const="",
+                     help="do not run any framework messages after the script")
+
+    repl_parser = sub.add_parser("repl", help="interactive directive session")
+    reference_common_flags(repl_parser)
+    return parser
+
+
+def reference_common_flags(parser) -> None:
+    parser.add_argument("--out", metavar="DIR", default=".",
+                        help="output directory for materialized artifacts")
+    parser.add_argument("--lenient-deps", action="store_true",
+                        help="disable dependency checking and namespace visibility "
+                             f"rules (also via {LENIENT_ENV_VAR}=1)")
+    parser.add_argument("--run-mode", choices=RUN_MODES, default="foreground")
+    parser.add_argument("--background", dest="run_mode", action="store_const",
+                        const="background", help="shorthand for --run-mode background")
+
+
+REFERENCE_PARSER = reference_parser()
+# every flag, then unique prefixes of it
+VALUE_FLAGS = ["--out", "--o", "--run-mode", "--run", "--target", "--ta", "--dump", "--du",
+               "--framework", "--f"]
+SWITCHES = ["--lenient-deps", "--l", "--background", "--b", "--check", "--ch", "--resolve",
+            "--res", "--no-framework", "--no"]
+HELP_WORDS = ["-h", "--help", "--he", "--h"]
+FLAG_WORDS = [*VALUE_FLAGS, *SWITCHES, *HELP_WORDS, "--r"]  # --r is ambiguous
+# words argparse takes as an operand or a value although they start with "-"
+DASH_OPERANDS = ["-1", "-a b"]
+VALUES = ["shell", "dag", "dry-run", "background", "dry", "a.mac", "", "a b", "x=y", "-",
+          *DASH_OPERANDS, "-x", "--x"]
+
+
+def parse_outcome(parse, argv):
+    """The values ``parse(argv)`` gives by destination, or the code it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def as_runjob_reads_it(argv: list[str]) -> list[str]:
+    """``argv`` rewritten so that argparse reads it as ``runjob`` does where
+    the two differ on purpose (CHANGES.md lists each difference):
+
+    - a ``--`` before the command only makes the next word the command;
+    - before ``--``, each word that starts with ``-`` is an option, so a
+      negative number, or a word holding a space, is refused as ``-x`` is;
+    - the first ``-h`` prints help, even when an ambiguous prefix follows;
+    - a ``--`` after which no word starts with ``-`` may stand anywhere.
+    """
+    argv = list(argv)
+    command = next((at for at, word in enumerate(argv) if word[:1] != "-" or word == "-"),
+                   len(argv))
+    if "--" in argv[:command] and argv.index("--") == command - 1:
+        command -= 1
+        del argv[command]
+    end = argv.index("--", command) if "--" in argv[command:] else len(argv)
+    argv[:end] = ["-x" if word in DASH_OPERANDS or at < command and " " in word
+                  and word.partition("=")[0] not in HELP_WORDS else word
+                  for at, word in enumerate(argv[:end])]
+    helps = [at for at, word in enumerate(argv[:end]) if word in HELP_WORDS]
+    if helps:
+        return argv[:helps[0] + 1]
+    if end < len(argv) and argv[end - 1] not in VALUE_FLAGS and not any(
+            word[:1] == "-" for word in argv[end + 1:]):
+        del argv[end]
+    return argv
+
+
+ARGV_WORD = st.one_of(
+    st.sampled_from([*FLAG_WORDS, *VALUES, "run", "repl", "--", "--bogus"]),
+    st.builds("{}={}".format, st.sampled_from(FLAG_WORDS), st.sampled_from(VALUES)))
+# flags given values that parse, so that many command lines do
+FITTING_VALUES = [(flag, value) for flag in VALUE_FLAGS for value in
+                  (RUN_MODES if flag.startswith("--run") else ("shell", "dag")
+                   if flag.startswith("--ta") else VALUES[:9])]
+FITTING_ITEM = st.one_of(st.sampled_from([[switch] for switch in SWITCHES]),
+                         st.sampled_from([list(pair) for pair in FITTING_VALUES]),
+                         st.sampled_from([[f"{flag}={value}"] for flag, value in FITTING_VALUES]))
+ANY_ITEM = st.one_of(ARGV_WORD.map(lambda word: [word]),
+                     st.tuples(st.sampled_from(VALUE_FLAGS), st.sampled_from(VALUES)).map(list))
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(st.one_of(st.just("run"), st.just("run"),
+                 st.sampled_from(["repl", "rum", "", "--", "-h", "--bogus", "-1"])),
+       st.lists(st.one_of(FITTING_ITEM, FITTING_ITEM, FITTING_ITEM, ANY_ITEM), max_size=6),
+       st.sampled_from([["a.mac"], [], ["a.mac", "b.mac"]]), st.integers(0, 12))
+@example("run", [["a.mac"], ["--run-mode", "dry-run"], ["--background"]], [], 0)
+@example("run", [["--background"], ["--run-mode=dry-run"]], ["a.mac"], 1)
+@example("run", [["--framework", "a b"], ["--no-framework"], ["--res"], ["--dump=-"]], ["a.mac"], 5)
+@example("run", [["--no"], ["--f=x"], ["--"], ["-x"]], [], 0)
+@example("run", [["--check"], ["--"]], ["a.mac"], 0)
+@example("repl", [["--"]], [], 0)
+@example("--", [["run"]], ["a.mac"], 1)
+@example("run", [["-h"], ["--r"]], [], 0)
+def test_the_parser_reads_argv_as_argparse_did(head, items, operands, at):
+    words = [word for item in items for word in item]
+    argv = [head, *words[:at], *operands, *words[at:]]
+    expected = parse_outcome(REFERENCE_PARSER.parse_args, as_runjob_reads_it(argv))
+    assert parse_outcome(cli.parse_args, argv) == expected, argv
+
+
 def test_repl_subcommand_reads_stdin(tmp_path, runjob_command):
     finished = runjob_command("repl", "--out", tmp_path,
                               stdin="attach Fork\nframework run Reset\ndump\nquit\n")
     assert finished.returncode == 0, finished.stderr
     assert "Reset Fork: Handled" in finished.stdout
     assert "attach Fork" in finished.stdout
+
+
+@pytest.mark.parametrize("args, stdin, closed, devnull", [
+    (("run", "helloworld.mac", "--run-mode", "dry-run"), None, ">&-", ">/dev/null"),
+    (("run", "helloworld.mac"), None, ">&-", ">/dev/null"),
+    (("run", "helloworld.mac", "--run-mode", "dry-run", "--dump", "-"), None, ">&-", ">/dev/null"),
+    (("run", "dangling.mac"), None, ">&-", ">/dev/null"),
+    (("repl",), "attach Step\nframework run Reset\ndump\nbogus\n", ">&-", ">/dev/null"),
+    (("repl",), None, "<&-", "</dev/null"),
+    (("run", "-h"), None, ">&-", ">/dev/null"),
+    (("run",), None, "2>&-", "2>/dev/null"),
+], ids=["dry run", "foreground run", "dump to stdout", "script error", "repl output",
+        "repl input", "help", "usage error"])
+def test_a_closed_standard_stream_is_read_and_written_as_dev_null(fixtures, tmp_path, args, stdin,
+                                                                  closed, devnull, runjob_command):
+    # output to a closed stdout is dropped, and a closed stdin is an empty session
+    args = [fixtures / arg if arg.endswith(".mac") else arg for arg in args]
+    finished = [runjob_command(*args, "--out", tmp_path, cwd=tmp_path, stdin=stdin,
+                               redirect=redirect) for redirect in (closed, devnull)]
+    assert "Traceback" not in finished[0].stderr
+    assert (finished[0].returncode, finished[0].stderr) == (finished[1].returncode,
+                                                            finished[1].stderr)
 
 
 @pytest.mark.parametrize("flags, written", [(("--check",), False),

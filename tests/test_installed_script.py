@@ -117,3 +117,35 @@ def test_a_2000_iteration_dump_sources_back_to_itself(tmp_path, runjob_command):
     assert len(re.findall(rb"^attach HelloWorld named", first, re.MULTILINE)) == 2000
     finished = runjob_command("run", "big1.mac", "--check", cwd=tmp_path)
     assert finished.returncode == 0, finished.stderr
+
+
+def readme_flags() -> set[str]:
+    """The flags the first column of README's CLI table names."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.partition("## CLI reference")[2].partition("\n\n|")[2].partition("\n\n")[0]
+    return {flag for row in table.splitlines()[2:]
+            for flag in re.findall(r"--[a-z-]+", row.split(" | ")[0])}
+
+
+@pytest.mark.parametrize("args", [("-h",), ("run", "-h")], ids=["runjob", "run"])
+def test_help_names_every_flag_in_the_readme(args, runjob_command):
+    finished = runjob_command(*args)
+    assert finished.returncode == 0, finished.stderr
+    flags = readme_flags()
+    assert "--no-framework" in flags  # the table's last row
+    assert flags <= set(re.findall(r"--[a-z-]+", finished.stdout))
+
+
+@pytest.mark.parametrize("args", [(), ("run",)], ids=["no command", "no script"])
+def test_a_usage_error_exits_two_with_its_usage(args, runjob_command):
+    finished = runjob_command(*args)
+    assert finished.returncode == 2
+    assert finished.stderr.startswith("usage: ") and "Traceback" not in finished.stderr
+
+
+def test_flags_take_equals_values_and_abbreviations(tmp_path, runjob_command):
+    finished = runjob_command("run", FIXTURES / "helloworld.mac", "--run-mode=dry-run", "--res",
+                              "--dump=-", cwd=tmp_path)
+    assert finished.returncode == 0, finished.stderr
+    assert "\nattach HelloWorldScriptGen\n" in finished.stdout
+    assert (tmp_path / "composite_HelloWorldScriptGen.sh").is_file()
